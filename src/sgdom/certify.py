@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Graph, GraphFormatError
 
@@ -199,7 +199,3 @@ def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:
     lines.extend(f"v {v + 1} {'+1' if f[v] == 1 else '-1'}" for v in range(len(f)))
     return "\n".join(lines) + "\n"
 
-
-def certificate_sums(g: Graph, mode: Mode, f: Sequence[int]) -> list[int]:
-    """Raw neighborhood sums without the k threshold; helper for reports."""
-    return [sum(f[u] for u in _mode_neighborhood(g, v, mode)) for v in range(g.n)]

@@ -4,7 +4,6 @@ import os
 
 DEFAULT_MAX_BRUTE_N = 24
 DEFAULT_NODE_BUDGET = 10**8
-DEFAULT_THREADS = 1
 DEFAULT_MAX_SUBSET_N = 20
 DEFAULT_MAX_SAT_VARS = 30
 
@@ -15,7 +14,3 @@ def max_brute_n() -> int:
 
 def node_budget() -> int:
     return int(os.environ.get("SGD_NODE_BUDGET", DEFAULT_NODE_BUDGET))
-
-
-def threads() -> int:
-    return int(os.environ.get("SGD_THREADS", DEFAULT_THREADS))

@@ -56,7 +56,12 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
                 raise GraphFormatError("duplicate header", lineno)
             if len(fields) != 4 or fields[1] != "cnf":
                 raise GraphFormatError(f"malformed header {line!r}", lineno)
-            n, m = int(fields[2]), int(fields[3])
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise GraphFormatError(f"malformed header {line!r}", lineno) from None
+            if n < 0 or m < 0:
+                raise GraphFormatError("negative counts in header", lineno)
         else:
             if n is None:
                 raise GraphFormatError("clause before header", lineno)

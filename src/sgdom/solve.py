@@ -12,14 +12,16 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .certify import Mode, SignFunction
+from .certify import Mode, SignFunction, is_minimal_skdf, verify
 from .graph import Graph
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 CAP_EXCEEDED = "cap_exceeded"
 
-_CHUNK = 1 << 17
+# Low-part width of the brute-force split: the low table holds 2^14 columns
+# of n int16 sums, small enough to stay in cache.
+_LOW_BITS = 14
 
 
 class CapExceededError(RuntimeError):
@@ -40,30 +42,132 @@ class SolveResult:
 
 def _mode_matrix(g: Graph, mode: Mode) -> np.ndarray:
     """Row v marks the vertices of N[v] (closed) or N(v) (total)."""
-    m = np.zeros((g.n, g.n), dtype=np.float32)
+    m = np.zeros((g.n, g.n), dtype=np.int16)
     for v in range(g.n):
-        m[v, list(g.neighbors(v))] = 1.0
+        m[v, list(g.neighbors(v))] = 1
         if mode is Mode.CLOSED:
-            m[v, v] = 1.0
+            m[v, v] = 1
     return m
 
 
-def _sign_chunk(lo: int, hi: int, n: int) -> np.ndarray:
-    """Rows lo..hi-1 of the lexicographic enumeration of {-1,+1}^n.
+def _part_table(m: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """All sign patterns of vertices start..stop-1, zero on every other vertex,
+    with their neighbourhood sums; both are vertex-major (n x 2^width).
 
-    Vertex 0 is the most significant bit and bit 0 encodes -1, so increasing
-    row index is lexicographic order with -1 < +1.
+    Columns are in lexicographic order: vertex `start` is the most
+    significant bit and bit 0 encodes -1, so column order is lexicographic
+    with -1 < +1.
     """
-    idx = np.arange(lo, hi, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return (2 * bits - 1).astype(np.float32)
+    width = stop - start
+    bits = (np.arange(1 << width) >> np.arange(width - 1, -1, -1)[:, None]) & 1
+    signs = np.zeros((m.shape[0], 1 << width), dtype=np.int16)
+    signs[start:stop] = 2 * bits - 1
+    # Doubling: prepending vertex u as the most significant bit puts the
+    # table once with u = -1 and then once with u = +1.
+    sums = np.zeros((m.shape[0], 1), dtype=np.int16)
+    for u in range(stop - 1, start - 1, -1):
+        sums = np.hstack((sums - m[:, u, None], sums + m[:, u, None]))
+    return signs, sums
+
+
+def _first_optimum(
+    g: Graph, k: int, mode: Mode, upper: bool
+) -> tuple[int, int] | None:
+    """Value and index of the lexicographically first optimum over
+    {-1,+1}^n, or None if nothing qualifies.
+
+    The index has vertex 0 as its most significant bit and bit value 1 for
+    +1. sigma (upper=False) minimises the weight over feasible assignments;
+    Gamma (upper=True, closed mode) maximises it over feasible, minimal ones.
+
+    Split enumeration (Horowitz & Sahni): vertices 0..h-1 form the high part
+    and h..n-1 the low part, so an index is `p << l | q`. The neighbourhood
+    sums of every low pattern q are tabulated once; each high pattern p, in
+    increasing order, adds its own sums to the whole table. Low patterns are
+    sorted stably by the objective, so the ones that strictly beat the
+    incumbent form a prefix, and the first of them that passes the test is
+    the block's lexicographically first best. A block replaces the incumbent
+    only when strictly better, which keeps the global winner the
+    lexicographically first optimum. Tables are vertex-major because
+    reducing over the short vertex axis of a row-major table is slow.
+    """
+    n = g.n
+    # Every sum lies in [-n, n], so k > n is exactly as infeasible as n + 1;
+    # clamping keeps k - sum inside int16.
+    k = min(k, n + 1)
+    low = min(_LOW_BITS, n)
+    high = n - low
+    m = _mode_matrix(g, mode)
+    adjacency = m > 0
+    lo_signs, lo_sums = _part_table(m, high, n)
+    hi_signs, hi_sums = _part_table(m, 0, high)
+    # key = weight for sigma and -weight for Gamma; the search minimises it.
+    sense = -1 if upper else 1
+    lo_key = sense * lo_signs.sum(axis=0, dtype=np.int64)
+    order = np.argsort(lo_key, kind="stable")
+    # take() keeps the tables C-contiguous; a[:, order] would not.
+    lo_key, lo_sums = lo_key[order], lo_sums.take(order, axis=1)
+    lo_plus = lo_signs.take(order, axis=1) > 0
+    hi_key = sense * hi_signs.sum(axis=0, dtype=np.int64)
+    best_key: int | None = None
+    best_index: int | None = None
+    for p in range(1 << high):
+        cols = len(order)
+        if best_key is not None:
+            cols = int(np.searchsorted(lo_key, best_key - hi_key[p]))
+        if cols == 0:
+            continue
+        hi = hi_sums[:, p, None]
+        ok = (lo_sums[:, :cols] >= k - hi).all(axis=0)
+        if upper:
+            # Minimal iff every +1 vertex has a closed neighbour whose sum
+            # is k or k+1.
+            (cand,) = np.nonzero(ok)
+            sums = lo_sums[:, cand] + hi
+            tight = (sums == k) | (sums == k + 1)
+            plus = lo_plus[:, cand] | (hi_signs[:, p, None] > 0)
+            ok[cand] = ((adjacency @ tight) | ~plus).all(axis=0)
+        if not ok.any():
+            continue
+        q = int(ok.argmax())
+        best_key = int(lo_key[q] + hi_key[p])
+        best_index = (p << low) | int(order[q])
+    if best_key is None:
+        return None
+    return sense * best_key, best_index
 
 
 def _certificate_at(index: int, n: int) -> SignFunction:
     return SignFunction(
         tuple(1 if (index >> (n - 1 - v)) & 1 else -1 for v in range(n))
     )
+
+
+def _brute_force(
+    g: Graph, k: int, mode: Mode, upper: bool, max_n: int | None
+) -> SolveResult:
+    """Shared body of brute_force_sigma and brute_force_upper."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    cap = config.max_brute_n() if max_n is None else max_n
+    n = g.n
+    if n > cap:
+        return SolveResult(CAP_EXCEEDED, None, None, 0)
+    optimum = _first_optimum(g, k, mode, upper)
+    if optimum is None:
+        return SolveResult(INFEASIBLE, None, None, 1 << n)
+    value, index = optimum
+    f = _certificate_at(index, n)
+    # Postcondition: the certificate proves the value it reports.
+    if (
+        f.weight != value
+        or not verify(g, k, mode, f).feasible
+        or (upper and not is_minimal_skdf(g, k, f).minimal)
+    ):
+        raise RuntimeError(
+            f"brute force certificate {f.values} does not prove value {value}"
+        )
+    return SolveResult(OPTIMAL, value, f, 1 << n)
 
 
 def brute_force_sigma(
@@ -74,72 +178,12 @@ def brute_force_sigma(
     Returns the lexicographically first optimal certificate (-1 < +1, vertex
     order 0..n-1); deterministic and bit-identical across runs.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    cap = config.max_brute_n() if max_n is None else max_n
-    n = g.n
-    if n > cap:
-        return SolveResult(CAP_EXCEEDED, None, None, 0)
-    if n == 0:
-        return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
-    m = _mode_matrix(g, mode)
-    total = 1 << n
-    best_w: int | None = None
-    best_idx: int | None = None
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        signs = _sign_chunk(lo, hi, n)
-        sums = signs @ m.T
-        feasible = (sums >= k).all(axis=1)
-        if not feasible.any():
-            continue
-        weights = signs.sum(axis=1)
-        weights[~feasible] = np.inf
-        chunk_min = weights.min()
-        if best_w is None or chunk_min < best_w:
-            best_w = int(chunk_min)
-            best_idx = lo + int(np.argmax(weights == chunk_min))
-    if best_w is None:
-        return SolveResult(INFEASIBLE, None, None, total)
-    return SolveResult(OPTIMAL, best_w, _certificate_at(best_idx, n), total)
+    return _brute_force(g, k, mode, False, max_n)
 
 
 def brute_force_upper(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
     """Exhaustive maximum weight over minimal signed k-dominating functions."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    cap = config.max_brute_n() if max_n is None else max_n
-    n = g.n
-    if n > cap:
-        return SolveResult(CAP_EXCEEDED, None, None, 0)
-    if n == 0:
-        return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
-    m = _mode_matrix(g, Mode.CLOSED)
-    total = 1 << n
-    best_w: int | None = None
-    best_idx: int | None = None
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        signs = _sign_chunk(lo, hi, n)
-        sums = signs @ m.T
-        feasible = (sums >= k).all(axis=1)
-        if not feasible.any():
-            continue
-        # Minimal iff every +1 vertex sees a closed sum of k or k+1 in N[v].
-        tight = ((sums == k) | (sums == k + 1)).astype(np.float32)
-        has_tight = (tight @ m.T) > 0
-        minimal = ((signs < 0) | has_tight).all(axis=1) & feasible
-        if not minimal.any():
-            continue
-        weights = signs.sum(axis=1)
-        weights[~minimal] = -np.inf
-        chunk_max = weights.max()
-        if best_w is None or chunk_max > best_w:
-            best_w = int(chunk_max)
-            best_idx = lo + int(np.argmax(weights == chunk_max))
-    if best_w is None:
-        return SolveResult(INFEASIBLE, None, None, total)
-    return SolveResult(OPTIMAL, best_w, _certificate_at(best_idx, n), total)
+    return _brute_force(g, k, Mode.CLOSED, True, max_n)
 
 
 def bnb_sigma(

@@ -62,6 +62,25 @@ def exhaustive_upper(g, k):
     return best
 
 
+def first_optimum(g, k, mode, upper=False):
+    """First optimal assignment in `product((-1, 1), repeat=n)` order, or
+    None. upper=True maximises the weight over definitionally minimal closed
+    SkDFs (mode is ignored); otherwise the weight is minimised over feasible
+    assignments. Only a strict improvement replaces the incumbent."""
+    best = None
+    for values in product((-1, 1), repeat=g.n):
+        if best is not None and (
+            sum(values) <= sum(best) if upper else sum(values) >= sum(best)
+        ):
+            continue
+        if not feasible(g, k, Mode.CLOSED if upper else mode, values):
+            continue
+        if upper and not definitionally_minimal(g, k, values):
+            continue
+        best = values
+    return best
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

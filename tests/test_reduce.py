@@ -54,6 +54,20 @@ class TestFormula:
         with pytest.raises(GraphFormatError):
             parse_cnf(text)
 
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("p cnf x 1", "malformed header"),
+            ("p cnf 3 y", "malformed header"),
+            ("p cnf -1 0", "negative counts"),
+            ("p cnf 3 -1", "negative counts"),
+        ],
+    )
+    def test_bad_header_reports_its_line(self, header, message):
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            parse_cnf(f"c comment\n{header}\n")
+        assert exc.value.line == 2
+
 
 class TestMtdsConstruction:
     def test_path_instance(self):

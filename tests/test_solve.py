@@ -16,10 +16,11 @@ from sgdom import (
     path,
     verify,
 )
+from sgdom import solve
 from sgdom.bounds import indicator
 from sgdom.solve import CAP_EXCEEDED, INFEASIBLE, OPTIMAL, CapExceededError, InfeasibleError
 
-from conftest import exhaustive_sigma, exhaustive_upper, random_graph
+from conftest import exhaustive_sigma, exhaustive_upper, first_optimum, random_graph
 
 
 class TestBruteForceSigma:
@@ -105,6 +106,73 @@ class TestBruteForceUpper:
                 assert (sigma.status == OPTIMAL) == (upper.status == OPTIMAL)
                 if sigma.status == OPTIMAL:
                     assert upper.value >= sigma.value
+
+
+def assert_first_optimum(result, g, k, mode, upper=False):
+    expected = first_optimum(g, k, mode, upper)
+    assert result.nodes_explored == 2**g.n
+    if expected is None:
+        assert result.status == INFEASIBLE
+        assert result.value is None and result.certificate is None
+    else:
+        assert result.status == OPTIMAL
+        assert result.certificate.values == expected
+        assert result.value == sum(expected)
+
+
+class TestSplitEnumeration:
+    """A narrow split makes graphs with n <= 9 span several high blocks; the
+    6-bit width has low tables long enough for a sort that is not stable to
+    break lexicographic ties."""
+
+    @pytest.fixture(params=[2, 3, 6], autouse=True)
+    def narrow_split(self, request, monkeypatch):
+        monkeypatch.setattr(solve, "_LOW_BITS", request.param)
+
+    def test_sigma_matches_first_optimum(self, rng):
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5, 0.8]))
+            for k in (1, 2):
+                for mode in (Mode.CLOSED, Mode.TOTAL):
+                    result = brute_force_sigma(g, k, mode)
+                    assert_first_optimum(result, g, k, mode)
+
+    def test_upper_matches_first_optimum(self, rng):
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5, 0.8]))
+            for k in (1, 2):
+                result = brute_force_upper(g, k)
+                assert_first_optimum(result, g, k, Mode.CLOSED, upper=True)
+
+    @pytest.mark.parametrize(
+        "g", [Graph(0), Graph(1), path(2), complete(3)], ids=["n0", "n1", "n2", "n3"]
+    )
+    def test_orders_up_to_the_split_width(self, g):
+        for k in (1, 2):
+            for mode in (Mode.CLOSED, Mode.TOTAL):
+                assert_first_optimum(brute_force_sigma(g, k, mode), g, k, mode)
+            assert_first_optimum(brute_force_upper(g, k), g, k, Mode.CLOSED, upper=True)
+
+    def test_infeasible(self):
+        g = path(5)
+        assert brute_force_sigma(g, 3, Mode.CLOSED).status == INFEASIBLE
+        assert brute_force_upper(g, 3).status == INFEASIBLE
+        assert_first_optimum(brute_force_sigma(g, 3, Mode.CLOSED), g, 3, Mode.CLOSED)
+
+    @pytest.mark.parametrize(
+        "upper,optimum",
+        [(False, (-5, 0)), (False, (2, 15)), (True, (5, 31))],
+        ids=["infeasible", "wrong-weight", "not-minimal"],
+    )
+    def test_postcondition_rejects_a_bad_certificate(self, monkeypatch, upper, optimum):
+        # On C5 with k=1: index 0 is all -1, index 15 is (-1,+1,+1,+1,+1) of
+        # weight 3, and index 31 is all +1, feasible but not minimal.
+        monkeypatch.setattr(solve, "_first_optimum", lambda *args: optimum)
+        with pytest.raises(RuntimeError, match="does not prove"):
+            if upper:
+                brute_force_upper(cycle(5), 1)
+            else:
+                brute_force_sigma(cycle(5), 1, Mode.CLOSED)
 
 
 class TestBranchAndBound:
