@@ -54,8 +54,6 @@ def _record(**fields) -> dict:
         "nodes_explored": None,
         "bound_num": None,
         "bound_den": None,
-        "threshold_a": None,
-        "threshold_b": None,
     }
     base.update(fields)
     return base

@@ -5,6 +5,7 @@ signed k-domination number, and baseline solvers for domination numbers and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections import deque
 from itertools import combinations
@@ -22,6 +23,14 @@ CAP_EXCEEDED = "cap_exceeded"
 # Low-part width of the brute-force split: the low table holds 2^14 columns
 # of n int16 sums, small enough to stay in cache.
 _LOW_BITS = 14
+
+# Lagrangian bound of the branch-and-bound: subgradient steps at the first
+# node that needs the bound, then per node from the parent's multipliers;
+# the Polyak step scale; and the float tolerance taken off every bound.
+_ROOT_STEPS = 100
+_NODE_STEPS = 15
+_STEP = 1.0
+_FLOAT_TOL = 1e-6
 
 
 class CapExceededError(RuntimeError):
@@ -186,6 +195,54 @@ def brute_force_upper(g: Graph, k: int, max_n: int | None = None) -> SolveResult
     return _brute_force(g, k, Mode.CLOSED, True, max_n)
 
 
+def _parity_ceil(bound: float, n: int) -> int:
+    """Least integer of the parity of n that is at least `bound`, less a
+    float tolerance, so rounding error can only weaken the bound."""
+    value = math.ceil(bound - _FLOAT_TOL)
+    return value + (value - n) % 2
+
+
+def _dual_ascent(
+    y: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    rhs: np.ndarray,
+    free: np.ndarray,
+    w: int,
+    best: int,
+    steps: int,
+) -> tuple[float, np.ndarray]:
+    """Projected subgradient ascent on the Lagrangian dual of one node.
+
+    For multipliers y >= 0 on the constraints sum_{u in nbhd[v]} x_u >= rhs_v
+    over the free vertices, L(y) = w + y.rhs - sum_{u free} |1 - c_u| with
+    c_u = sum_{v in nbhd[u]} y_v is a lower bound on every completion's
+    weight. (src, dst) lists each pair with dst in nbhd[src]; the relation is
+    symmetric, so one bincount over it gives c and another the constraint
+    sums of the minimising x. Polyak steps aim just above the pruning level
+    best - 2; the ascent stops once L clears it. Returns the best L seen and
+    its y.
+    """
+    n = len(rhs)
+    target = best - 1
+    top, top_y = -math.inf, y
+    for _ in range(steps):
+        excess = np.bincount(src, weights=y[dst], minlength=n) - 1.0
+        bound = w + float(y @ rhs) - float(np.abs(excess) @ free)
+        if bound > top:
+            top, top_y = bound, y
+            if _parity_ceil(bound, n) >= best:
+                break
+        # The minimising x is +1 on free vertices with c_u > 1, else -1.
+        x = np.copysign(free, excess)
+        grad = rhs - np.bincount(src, weights=x[dst], minlength=n)
+        norm = float(grad @ grad)
+        if norm == 0:
+            break
+        y = np.maximum(y + (_STEP * (target - bound) / norm) * grad, 0)
+    return top, top_y
+
+
 def bnb_sigma(
     g: Graph, k: int, mode: Mode, node_budget: int | None = None
 ) -> SolveResult:
@@ -193,8 +250,13 @@ def bnb_sigma(
 
     Uses parity-strengthened per-vertex thresholds (a neighborhood whose size
     has the opposite parity of k must reach k+1), unit propagation when a
-    neighborhood's achievable maximum gets tight, and weight pruning against
-    the incumbent. Always agrees with brute_force_sigma on the value.
+    neighborhood's achievable maximum gets tight, and pruning against the
+    incumbent by Lagrangian bounds rounded up to the parity of n (see
+    `_dual_ascent`), whose multipliers are tuned at the first node that needs
+    them and warm-started down the search. The search is an explicit stack,
+    so its depth is not limited by Python's recursion limit. Always agrees
+    with brute_force_sigma on the value; the certificate is the first optimal
+    leaf in branch order (degree order, -1 before +1).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -218,8 +280,7 @@ def bnb_sigma(
     sum_dec = [0] * n
     und = [len(nbhd[v]) for v in range(n)]
     trail: list[int] = []
-    state = {"w": 0, "und_total": n, "nodes": 0, "capped": False}
-    best: dict = {"w": None, "f": None}
+    state = {"w": 0, "und_total": n}
 
     def place(u: int, val: int) -> None:
         assign[u] = val
@@ -272,34 +333,71 @@ def bnb_sigma(
         return SolveResult(INFEASIBLE, None, None, 1)
 
     order = sorted(range(n), key=lambda v: (g.degree(v), v))
+    src = np.repeat(np.arange(n), [len(a) for a in nbhd])
+    dst = np.fromiter((u for a in nbhd for u in a), dtype=np.intp, count=len(src))
+    thr_arr = np.array(thr, dtype=float)
 
-    def dfs() -> None:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["capped"] = True
-            return
-        if best["w"] is not None and state["w"] - state["und_total"] >= best["w"]:
-            return
-        if state["und_total"] == 0:
-            best["w"] = state["w"]
-            best["f"] = SignFunction(tuple(assign))
-            return
-        branch = next(v for v in order if assign[v] == 0)
-        for val in (-1, 1):
-            mark = len(trail)
-            if propagate([(branch, val)]):
-                dfs()
-            undo(mark)
-            if state["capped"]:
-                return
+    nodes = 0
+    best_w: int | None = None
+    best_f: SignFunction | None = None
+    root_y: np.ndarray | None = None
+    # A frame is [branch vertex, next value, trail mark, order position, y]:
+    # y are the node's tuned multipliers (None before any incumbent) and the
+    # order position is where the search for an undecided vertex resumes.
+    stack: list[list] = []
 
-    dfs()
-    nodes = state["nodes"]
-    if state["capped"]:
-        return SolveResult(CAP_EXCEEDED, best["w"], best["f"], nodes)
-    if best["w"] is None:
+    def enter(pos: int, y: np.ndarray | None) -> bool:
+        """Count the current node, then record it as the incumbent, prune it
+        or push its frame. False once the node budget is spent."""
+        nonlocal nodes, best_w, best_f, root_y
+        nodes += 1
+        if nodes > budget:
+            return False
+        w, free_total = state["w"], state["und_total"]
+        if best_w is not None and w - free_total >= best_w:
+            return True
+        if free_total == 0:
+            best_w, best_f = w, SignFunction(tuple(assign))
+            return True
+        if best_w is not None:
+            rhs = thr_arr - np.array(sum_dec)
+            free = (np.array(assign) == 0).astype(float)
+            if y is None:
+                if root_y is None:
+                    _, root_y = _dual_ascent(
+                        np.zeros(n), src, dst, rhs, free, w, best_w, _ROOT_STEPS
+                    )
+                y = root_y
+            bound, y = _dual_ascent(y, src, dst, rhs, free, w, best_w, _NODE_STEPS)
+            if _parity_ceil(bound, n) >= best_w:
+                return True
+        while assign[order[pos]] != 0:
+            pos += 1
+        stack.append([order[pos], -1, len(trail), pos, y])
+        return True
+
+    capped = not enter(0, None)
+    while stack and not capped:
+        frame = stack[-1]
+        undo(frame[2])
+        val = frame[1]
+        if val > 1:
+            stack.pop()
+        else:
+            frame[1] = val + 2
+            if propagate([(frame[0], val)]):
+                capped = not enter(frame[3], frame[4])
+
+    if capped:
+        return SolveResult(CAP_EXCEEDED, best_w, best_f, nodes)
+    if best_w is None:
         return SolveResult(INFEASIBLE, None, None, nodes)
-    return SolveResult(OPTIMAL, best["w"], best["f"], nodes)
+    # Postcondition: the certificate proves the value it reports.
+    if best_f.weight != best_w or not verify(g, k, mode, best_f).feasible:
+        raise RuntimeError(
+            f"branch-and-bound certificate {best_f.values} does not prove value {best_w}"
+        )
+    return SolveResult(OPTIMAL, best_w, best_f, nodes)
 
 
 # ---------------------------------------------------------------------------

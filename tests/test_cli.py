@@ -50,6 +50,10 @@ class TestSolve:
         assert len(record["certificate"]) == 5
         assert record["nodes_explored"] == 32
         assert f"sigma_ks = {record['value']}" in text
+        assert set(record) == {
+            "parameter", "k", "mode", "value", "status", "certificate",
+            "nodes_explored", "bound_num", "bound_den",
+        }
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         p = tmp_path / "k1.graph"

@@ -1,3 +1,8 @@
+import random
+import sys
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from sgdom import (
@@ -204,6 +209,106 @@ class TestBranchAndBound:
     def test_node_budget(self):
         result = bnb_sigma(cycle(12), 1, Mode.CLOSED, node_budget=3)
         assert result.status == CAP_EXCEEDED
+
+    def test_matches_brute_force_on_mid_sized_graphs(self, rng):
+        # Orders where the Lagrangian bound prunes most of the tree.
+        for n in range(14, 21, 2):
+            for p in (0.2, 0.3):
+                g = random_graph(rng, n, p)
+                for k in (1, 2):
+                    for mode in (Mode.CLOSED, Mode.TOTAL):
+                        bf = brute_force_sigma(g, k, mode)
+                        bb = bnb_sigma(g, k, mode)
+                        assert (bb.status, bb.value) == (bf.status, bf.value)
+                        if bb.status == OPTIMAL:
+                            assert verify(g, k, mode, bb.certificate).feasible
+                            assert bb.certificate.weight == bb.value
+
+    @pytest.mark.parametrize(
+        "n,p,seed,k,mode,value,signs",
+        [
+            (24, 0.3, 24, 1, Mode.CLOSED, 6, "----++-++++++++++-+---++"),
+            (26, 0.25, 26, 2, Mode.TOTAL, 12, "--++++++++-++--++-+++++-++"),
+            (28, 0.25, 28, 1, Mode.TOTAL, 4, "+--+-++-+--++-----++++++++-+"),
+            (30, 0.2, 30, 1, Mode.CLOSED, 6, "--++--+-+--+++++++-+-+++-++-+-"),
+        ],
+    )
+    def test_pinned_certificates(self, n, p, seed, k, mode, value, signs):
+        # Values and certificates pinned from the search without the
+        # Lagrangian bound, which needed 1.2k-111k nodes on these graphs;
+        # the bound prunes only subtrees with nothing strictly better than
+        # the incumbent, so the first optimal leaf is still the answer.
+        g = random_graph(random.Random(seed), n, p)
+        result = bnb_sigma(g, k, mode, node_budget=2000)
+        assert result.status == OPTIMAL and result.value == value
+        assert result.certificate.values == tuple(1 if c == "+" else -1 for c in signs)
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # On a cycle of order 3m, every third vertex is a branching -1 that
+        # forces its two successors, so the first leaf lies at depth m.
+        depth = sys.getrecursionlimit() + 10
+        g = cycle(3 * depth)
+        result = bnb_sigma(g, 1, Mode.CLOSED, node_budget=3 * depth)
+        assert result.status in (OPTIMAL, CAP_EXCEEDED)
+        assert result.nodes_explored > depth
+        assert verify(g, 1, Mode.CLOSED, result.certificate).feasible
+        if result.status == OPTIMAL:
+            assert result.value == depth
+
+    def test_postcondition_rejects_a_bad_certificate(self, monkeypatch):
+        monkeypatch.setattr(solve, "verify", lambda *args: SimpleNamespace(feasible=False))
+        with pytest.raises(RuntimeError, match="does not prove"):
+            bnb_sigma(cycle(6), 1, Mode.CLOSED)
+
+
+def lagrangian_instance(g, k, mode):
+    """Pairs (v, u) with u in the mode neighbourhood of v, and the
+    parity-strengthened thresholds, built apart from bnb_sigma."""
+    nbhd = [
+        g.closed_neighbors(v) if mode is Mode.CLOSED else g.neighbors(v)
+        for v in range(g.n)
+    ]
+    pairs = np.array([(v, u) for v in range(g.n) for u in nbhd[v]], dtype=np.intp)
+    thr = np.array([k + (len(a) - k) % 2 for a in nbhd], dtype=float)
+    return pairs[:, 0], pairs[:, 1], thr
+
+
+class TestLagrangianBound:
+    def test_root_bound_is_below_lp_and_optimum(self, rng):
+        """Weak duality against scipy's LP, and the parity-rounded bound
+        against the brute-force optimum, with an incumbent two above it so
+        the ascent runs every root step."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        checked = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(6, 14), rng.choice([0.3, 0.5]))
+            for k in (1, 2):
+                for mode in (Mode.CLOSED, Mode.TOTAL):
+                    opt = brute_force_sigma(g, k, mode)
+                    if opt.status != OPTIMAL:
+                        continue
+                    src, dst, thr = lagrangian_instance(g, k, mode)
+                    a = np.zeros((g.n, g.n))
+                    a[src, dst] = 1
+                    lp = linprog(np.ones(g.n), A_ub=-a, b_ub=-thr, bounds=(-1, 1))
+                    assert lp.status == 0
+                    bound, y = solve._dual_ascent(
+                        np.zeros(g.n), src, dst, thr, np.ones(g.n), 0,
+                        opt.value + 2, solve._ROOT_STEPS,
+                    )
+                    assert (y >= 0).all()
+                    assert bound <= lp.fun + 1e-6
+                    assert solve._parity_ceil(bound, g.n) <= opt.value
+                    checked += 1
+        assert checked >= 40
+
+    def test_parity_ceil(self):
+        assert solve._parity_ceil(3.2, 10) == 4
+        assert solve._parity_ceil(3.2, 11) == 5
+        assert solve._parity_ceil(4.0, 10) == 4
+        # Float error just above an integer does not lift the bound.
+        assert solve._parity_ceil(4.0 + 1e-9, 10) == 4
+        assert solve._parity_ceil(-2.5, 7) == -1
 
 
 class TestCompleteGraphClosedForms:
