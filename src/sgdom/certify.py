@@ -7,7 +7,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphFormatError
+from .graph import Graph, GraphFormatError, _read_lines
 
 
 class Mode(enum.Enum):
@@ -45,14 +45,6 @@ class SignFunction:
     @property
     def weight(self) -> int:
         return sum(self.values)
-
-    def flip(self, v: int) -> "SignFunction":
-        vals = list(self.values)
-        vals[v] = -vals[v]
-        return SignFunction(tuple(vals))
-
-    def plus_set(self) -> frozenset[int]:
-        return frozenset(v for v, x in enumerate(self.values) if x == 1)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -124,22 +116,17 @@ def is_minimal_skdf(g: Graph, k: int, f: SignFunction) -> MinimalityReport:
 def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
     """Vertices that take value +1 in every feasible certificate of the mode.
 
-    Closed mode: a vertex of degree k-1 or k has a closed neighborhood of
-    size k or k+1, leaving no room for a -1 at the vertex itself. Total mode:
-    if d(v) <= k+1, a -1 among v's neighbors caps the open sum below k, so
-    every neighbor of v is forced.
+    If |N_mode(v)| is k or k+1, a single -1 in it caps v's sum below k, so
+    every vertex of N_mode(v) is forced (N[v] in closed mode, N(v) in total
+    mode).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     forced: set[int] = set()
-    if mode is Mode.CLOSED:
-        for v in range(g.n):
-            if g.degree(v) in (k - 1, k):
-                forced.add(v)
-    else:
-        for v in range(g.n):
-            if g.degree(v) in (k, k + 1):
-                forced.update(g.neighbors(v))
+    for v in range(g.n):
+        nbhd = _mode_neighborhood(g, v, mode)
+        if len(nbhd) in (k, k + 1):
+            forced.update(nbhd)
     return frozenset(forced)
 
 
@@ -151,44 +138,23 @@ def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
 
     Returns (k, mode, sign function).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    n = k = None
-    mode: Mode | None = None
+    lines = _read_lines(text, "s", "sgd-cert", int, int, Mode)
+    _, (n, k, mode) = next(lines)
     values: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "s":
-            if n is not None:
-                raise GraphFormatError("duplicate header", lineno)
-            if len(fields) != 5 or fields[1] != "sgd-cert":
-                raise GraphFormatError(f"malformed header {line!r}", lineno)
-            try:
-                n, k = int(fields[2]), int(fields[3])
-                mode = Mode(fields[4])
-            except ValueError:
-                raise GraphFormatError(f"malformed header {line!r}", lineno) from None
-        elif fields[0] == "v":
-            if n is None:
-                raise GraphFormatError("value line before header", lineno)
-            if len(fields) != 3 or fields[2] not in ("+1", "-1", "1"):
-                raise GraphFormatError(f"malformed value line {line!r}", lineno)
-            try:
-                i = int(fields[1])
-            except ValueError:
-                raise GraphFormatError(f"malformed value line {line!r}", lineno) from None
-            if not (1 <= i <= n):
-                raise GraphFormatError(f"vertex {i} out of range", lineno)
-            if i - 1 in values:
-                raise GraphFormatError(f"vertex {i} assigned twice", lineno)
-            values[i - 1] = 1 if fields[2] in ("+1", "1") else -1
-        else:
-            raise GraphFormatError(f"unrecognized line {line!r}", lineno)
-    if n is None or mode is None:
-        raise GraphFormatError("missing header")
+    for lineno, fields in lines:
+        if fields[0] != "v":
+            raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
+        if len(fields) != 3 or fields[2] not in ("+1", "-1", "1"):
+            raise GraphFormatError(f"malformed value line {' '.join(fields)!r}", lineno)
+        try:
+            i = int(fields[1])
+        except ValueError:
+            raise GraphFormatError(f"malformed value line {' '.join(fields)!r}", lineno) from None
+        if not (1 <= i <= n):
+            raise GraphFormatError(f"vertex {i} out of range", lineno)
+        if i - 1 in values:
+            raise GraphFormatError(f"vertex {i} assigned twice", lineno)
+        values[i - 1] = 1 if fields[2] in ("+1", "1") else -1
     if len(values) != n:
         raise GraphFormatError(f"expected {n} vertex values, found {len(values)}")
     return k, mode, SignFunction(tuple(values[v] for v in range(n)))

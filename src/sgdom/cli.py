@@ -19,6 +19,7 @@ from .certify import (
     parse_certificate,
     verify,
 )
+from .config import DEFAULT_MAX_BRUTE_N, DEFAULT_NODE_BUDGET
 from .extremal import ExtremalSpec, build_extremal
 from .graph import GraphFormatError, emit_graph, one_factorization, parse_graph
 from .reductions import (
@@ -71,12 +72,14 @@ def _emit(args, text_lines: list[str], record: dict) -> None:
 
 
 def _read_graph(path: str):
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(Path(path).read_bytes())
 
 
 def _cmd_solve(args) -> int:
-    g = _read_graph(args.graph)
     mode = Mode(args.mode)
+    if args.param == "upper" and mode is not Mode.CLOSED:
+        raise ValueError("upper signed k-domination is defined only in closed mode")
+    g = _read_graph(args.graph)
     if args.param == "upper":
         result = brute_force_upper(g, args.k, max_n=args.max_brute_n)
         name = "gamma_ks"
@@ -111,7 +114,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    cert_k, cert_mode, f = parse_certificate(Path(args.cert).read_text(encoding="utf-8"))
+    cert_k, cert_mode, f = parse_certificate(Path(args.cert).read_bytes())
     k = args.k if args.k is not None else cert_k
     mode = Mode(args.mode) if args.mode else cert_mode
     report = verify(g, k, mode, f)
@@ -213,7 +216,7 @@ def _cmd_gen_onefactor(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = Path(args.input).read_bytes()
     if args.source == ONE_IN_THREE:
         art = reduce_1in3(parse_cnf(text), args.k)
         threshold_line = f"threshold: {art.threshold_value}"
@@ -296,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["closed", "total"], default="closed")
     p.add_argument("--param", choices=["sigma", "upper"], default="sigma")
     p.add_argument("--algo", choices=["brute", "bnb"], default="bnb")
-    p.add_argument("--max-brute-n", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--max-brute-n", type=int, default=DEFAULT_MAX_BRUTE_N)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     add_common(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .bounds import DegreeProfile, indicator, lower_bound
 from .certify import Mode, SignFunction
-from .graph import Graph, complete_bipartite, disjoint_union, regularize_independent_set
+from .graph import Graph, _circle_factor
 
 
 def extremal_params(k: int, delta: int, Delta: int, mode: Mode) -> tuple[int, int]:
@@ -86,18 +86,24 @@ class ExtremalSpec:
 def build_extremal(spec: ExtremalSpec) -> tuple[Graph, SignFunction]:
     """Build the extremal graph and its optimal certificate.
 
-    Blocks are laid out in order, a-side before b-side; the added edges come
-    from the deterministic 1-factorization in ascending factor order, so the
-    output is byte-for-byte reproducible. Every p-vertex ends with degree
-    Delta and every q-vertex with degree delta, and the certificate weight
-    equals the rational lower bound exactly.
+    Blocks are laid out in order, a-side before b-side; the independent sets
+    P and Q then get the first Delta-b and delta-a rounds of the circle
+    method's 1-factorization, so the output is byte-for-byte reproducible.
+    Every p-vertex ends with degree Delta and every q-vertex with degree
+    delta, and the certificate weight equals the rational lower bound
+    exactly.
     """
-    a, b = spec.a, spec.b
-    g = Graph(0)
-    for _ in range(spec.t):
-        g = disjoint_union(g, complete_bipartite(a, b))
-    g = regularize_independent_set(g, spec.p_vertices, spec.Delta - b)
-    g = regularize_independent_set(g, spec.q_vertices, spec.delta - a)
+    a, b, t = spec.a, spec.b, spec.t
+    edges = [
+        (i * (a + b) + x, i * (a + b) + a + y)
+        for i in range(t)
+        for x in range(a)
+        for y in range(b)
+    ]
+    for side, r in ((spec.p_vertices, spec.Delta - b), (spec.q_vertices, spec.delta - a)):
+        for i in range(r):
+            edges.extend((side[u], side[v]) for u, v in _circle_factor(len(side), i))
+    g = Graph(spec.order, edges)
     cert = SignFunction.from_plus_set(g.n, spec.p_vertices)
     profile = DegreeProfile(g.n, spec.delta, spec.Delta, spec.k)
     assert cert.weight == lower_bound(profile, spec.mode)

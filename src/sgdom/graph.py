@@ -56,13 +56,6 @@ class Graph:
         self._check_vertex(v)
         return tuple(sorted(self._adj[v] + (v,)))
 
-    def neighborhood(self, v: int, mode: str) -> tuple[int, ...]:
-        if mode == "open":
-            return self.neighbors(v)
-        if mode == "closed":
-            return self.closed_neighbors(v)
-        raise ValueError(f"unknown neighborhood mode {mode!r}")
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -135,51 +128,75 @@ class Matching:
 # ---------------------------------------------------------------------------
 # Text I/O ("p sgd" format, DIMACS-style 1-indexed vertices)
 
-def parse_graph(text: str | bytes) -> Graph:
-    """Parse the `p sgd <n> <m>` edge-list format into a Graph."""
+def _read_lines(
+    text: str | bytes, tag: str, magic: str, *header
+) -> Iterator[tuple[int, list]]:
+    """One pass over a line format shared by the graph, certificate and CNF
+    parsers.
+
+    Lines are numbered from 1; blank lines and lines starting with `c` are
+    skipped. The header is `<tag> <magic>` followed by one field per
+    converter in `header`; fields read by `int` are counts and must be
+    nonnegative. Yields (lineno, converted header fields) first, then
+    (lineno, fields) for every later line. A line before the header, a
+    second header and a missing header are format errors.
+    """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    header_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate header", lineno)
-            if len(fields) != 4 or fields[1] != "sgd":
-                raise GraphFormatError(f"malformed header {line!r}", lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise GraphFormatError(f"malformed header {line!r}", lineno) from None
-            if n < 0 or m < 0:
-                raise GraphFormatError("negative counts in header", lineno)
-        elif fields[0] == "e":
-            if n is None:
-                raise GraphFormatError("edge before header", lineno)
-            if len(fields) != 3:
-                raise GraphFormatError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphFormatError(f"malformed edge line {line!r}", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"vertex out of range in {line!r}", lineno)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge {key}", lineno)
-            seen.add(key)
-            edges.append((u - 1, v - 1))
-        else:
-            raise GraphFormatError(f"unrecognized line {line!r}", lineno)
-    if n is None:
+        if fields[0] != tag:
+            if header_line is None:
+                raise GraphFormatError(f"{fields[0]!r} before header", lineno)
+            yield lineno, fields
+            continue
+        if header_line is not None:
+            raise GraphFormatError("duplicate header", lineno)
+        if len(fields) != len(header) + 2 or fields[1] != magic:
+            raise GraphFormatError(f"malformed header {line!r}", lineno)
+        try:
+            values = [parse(x) for parse, x in zip(header, fields[2:])]
+        except ValueError:
+            raise GraphFormatError(f"malformed header {line!r}", lineno) from None
+        if any(parse is int and x < 0 for parse, x in zip(header, values)):
+            raise GraphFormatError("negative counts in header", lineno)
+        header_line = lineno
+        yield lineno, values
+    if header_line is None:
         raise GraphFormatError("missing header")
+
+
+def parse_graph(text: str | bytes) -> Graph:
+    """Parse the `p sgd <n> <m>` edge-list format into a Graph."""
+    lines = _read_lines(text, "p", "sgd", int, int)
+    _, (n, m) = next(lines)
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, fields in lines:
+        if fields[0] != "e":
+            raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
+        if len(fields) != 3:
+            raise GraphFormatError(f"malformed edge line {' '.join(fields)!r}", lineno)
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise GraphFormatError(f"malformed edge line {' '.join(fields)!r}", lineno) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphFormatError(f"vertex out of range in {' '.join(fields)!r}", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {key}", lineno)
+        seen.add(key)
+        edges.append((u - 1, v - 1))
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
     return Graph(n, edges)
@@ -225,6 +242,18 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # 1-factorization (circle method)
 
+def _circle_factor(n: int, r: int) -> list[tuple[int, int]]:
+    """Round r of the circle method on K_n, n even: vertex n-1 stays fixed,
+    the others rotate. Each pair (u, v) has u < v."""
+    hub = n - 1
+    pairs = [(r, hub)]
+    for i in range(1, n // 2):
+        u = (r + i) % hub
+        v = (r - i) % hub
+        pairs.append((min(u, v), max(u, v)))
+    return pairs
+
+
 def one_factorization(n: int) -> list[Matching]:
     """The n-1 pairwise edge-disjoint perfect matchings partitioning E(K_n).
 
@@ -232,16 +261,7 @@ def one_factorization(n: int) -> list[Matching]:
     """
     if n <= 0 or n % 2 != 0:
         raise ValueError("1-factorization requires even n >= 2")
-    hub = n - 1
-    factors = []
-    for r in range(n - 1):
-        pairs = {(min(r, hub), max(r, hub))}
-        for i in range(1, n // 2):
-            u = (r + i) % hub
-            v = (r - i) % hub
-            pairs.add((min(u, v), max(u, v)))
-        factors.append(Matching(frozenset(pairs)))
-    return factors
+    return [Matching(frozenset(_circle_factor(n, r))) for r in range(n - 1)]
 
 
 def regularize_independent_set(g: Graph, s: Iterable[int], r: int) -> Graph:
@@ -264,7 +284,7 @@ def regularize_independent_set(g: Graph, s: Iterable[int], r: int) -> Graph:
     if r == 0:
         return g
     new_edges = list(g.edges())
-    for factor in one_factorization(len(vertices))[:r]:
-        for a, b in factor.pairs:
+    for i in range(r):
+        for a, b in _circle_factor(len(vertices), i):
             new_edges.append((vertices[a], vertices[b]))
     return Graph(g.n, new_edges)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .certify import Mode, SignFunction, is_minimal_skdf, verify
-from .graph import Graph, GraphFormatError
+from .graph import Graph, GraphFormatError, _read_lines
 
 MTDS = "mtds"
 MDS = "mds"
@@ -42,40 +42,26 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
 
     All literals must be positive; a negative literal is a format error.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    n = m = None
+    lines = _read_lines(text, "p", "cnf", int, int)
+    header_line, (n, m) = next(lines)
+    if n < 1:
+        raise GraphFormatError("formula needs at least one variable", header_line)
     clauses: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate header", lineno)
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise GraphFormatError(f"malformed header {line!r}", lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise GraphFormatError(f"malformed header {line!r}", lineno) from None
-            if n < 0 or m < 0:
-                raise GraphFormatError("negative counts in header", lineno)
-        else:
-            if n is None:
-                raise GraphFormatError("clause before header", lineno)
-            try:
-                lits = [int(x) for x in fields]
-            except ValueError:
-                raise GraphFormatError(f"malformed clause line {line!r}", lineno) from None
-            if len(lits) != 4 or lits[3] != 0:
-                raise GraphFormatError("clause must be three literals then 0", lineno)
-            if any(x < 0 for x in lits[:3]):
-                raise GraphFormatError("negative literals are not allowed", lineno)
-            clauses.append(tuple(lits[:3]))
-    if n is None:
-        raise GraphFormatError("missing header")
+    for lineno, fields in lines:
+        try:
+            lits = [int(x) for x in fields]
+        except ValueError:
+            raise GraphFormatError(f"malformed clause line {' '.join(fields)!r}", lineno) from None
+        if len(lits) != 4 or lits[3] != 0:
+            raise GraphFormatError("clause must be three literals then 0", lineno)
+        clause = tuple(lits[:3])
+        if min(clause) < 0:
+            raise GraphFormatError("negative literals are not allowed", lineno)
+        if min(clause) == 0 or max(clause) > n:
+            raise GraphFormatError(f"variable out of range 1..{n} in clause {clause}", lineno)
+        if len(set(clause)) != 3:
+            raise GraphFormatError(f"clause {clause} must have 3 distinct variables", lineno)
+        clauses.append(clause)
     if len(clauses) != m:
         raise GraphFormatError(f"header declares {m} clauses, found {len(clauses)}")
     return ThreeSatFormula(n, tuple(clauses))

@@ -13,7 +13,14 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .certify import Mode, SignFunction, is_minimal_skdf, verify
+from .certify import (
+    Mode,
+    SignFunction,
+    _mode_neighborhood,
+    forced_plus_vertices,
+    is_minimal_skdf,
+    verify,
+)
 from .graph import Graph
 
 OPTIMAL = "optimal"
@@ -153,14 +160,13 @@ def _certificate_at(index: int, n: int) -> SignFunction:
 
 
 def _brute_force(
-    g: Graph, k: int, mode: Mode, upper: bool, max_n: int | None
+    g: Graph, k: int, mode: Mode, upper: bool, max_n: int
 ) -> SolveResult:
     """Shared body of brute_force_sigma and brute_force_upper."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    cap = config.max_brute_n() if max_n is None else max_n
     n = g.n
-    if n > cap:
+    if n > max_n:
         return SolveResult(CAP_EXCEEDED, None, None, 0)
     optimum = _first_optimum(g, k, mode, upper)
     if optimum is None:
@@ -180,7 +186,7 @@ def _brute_force(
 
 
 def brute_force_sigma(
-    g: Graph, k: int, mode: Mode, max_n: int | None = None
+    g: Graph, k: int, mode: Mode, max_n: int = config.DEFAULT_MAX_BRUTE_N
 ) -> SolveResult:
     """Exhaustive minimum over all 2^n sign functions.
 
@@ -190,7 +196,9 @@ def brute_force_sigma(
     return _brute_force(g, k, mode, False, max_n)
 
 
-def brute_force_upper(g: Graph, k: int, max_n: int | None = None) -> SolveResult:
+def brute_force_upper(
+    g: Graph, k: int, max_n: int = config.DEFAULT_MAX_BRUTE_N
+) -> SolveResult:
     """Exhaustive maximum weight over minimal signed k-dominating functions."""
     return _brute_force(g, k, Mode.CLOSED, True, max_n)
 
@@ -244,7 +252,7 @@ def _dual_ascent(
 
 
 def bnb_sigma(
-    g: Graph, k: int, mode: Mode, node_budget: int | None = None
+    g: Graph, k: int, mode: Mode, node_budget: int = config.DEFAULT_NODE_BUDGET
 ) -> SolveResult:
     """Branch-and-bound for sigma_kS / sigma_tkS.
 
@@ -260,7 +268,6 @@ def bnb_sigma(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    budget = config.node_budget() if node_budget is None else node_budget
     n = g.n
     if n == 0:
         return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
@@ -270,10 +277,7 @@ def bnb_sigma(
     ):
         return SolveResult(INFEASIBLE, None, None, 0)
 
-    if mode is Mode.CLOSED:
-        nbhd = [g.closed_neighbors(v) for v in range(n)]
-    else:
-        nbhd = [g.neighbors(v) for v in range(n)]
+    nbhd = [_mode_neighborhood(g, v, mode) for v in range(n)]
     thr = [k if (len(nbhd[v]) - k) % 2 == 0 else k + 1 for v in range(n)]
 
     assign = [0] * n
@@ -321,16 +325,10 @@ def bnb_sigma(
                             queue.append((w, 1))
         return True
 
-    # Root propagation: per-vertex achievability plus the forced seeds.
-    root_seeds: list[tuple[int, int]] = []
-    for v in range(n):
-        slack = und[v] - thr[v]
-        if slack < 0:
-            return SolveResult(INFEASIBLE, None, None, 0)
-        if slack <= 1:
-            root_seeds.extend((w, 1) for w in nbhd[v])
-    if not propagate(root_seeds):
-        return SolveResult(INFEASIBLE, None, None, 1)
+    # Root propagation from the forced vertices. A +1 leaves every slack as
+    # it was, and the degree check above makes each slack nonnegative, so
+    # this cannot fail.
+    propagate([(v, 1) for v in forced_plus_vertices(g, k, mode)])
 
     order = sorted(range(n), key=lambda v: (g.degree(v), v))
     src = np.repeat(np.arange(n), [len(a) for a in nbhd])
@@ -351,7 +349,7 @@ def bnb_sigma(
         or push its frame. False once the node budget is spent."""
         nonlocal nodes, best_w, best_f, root_y
         nodes += 1
-        if nodes > budget:
+        if nodes > node_budget:
             return False
         w, free_total = state["w"], state["und_total"]
         if best_w is not None and w - free_total >= best_w:

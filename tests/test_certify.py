@@ -124,7 +124,9 @@ class TestMinimality:
 
 class TestForcedPlus:
     def test_path_closed(self):
-        assert forced_plus_vertices(path(3), 1, Mode.CLOSED) == frozenset({0, 2})
+        # N[0] and N[2] have k+1 = 2 vertices, so all of P3 is forced; the
+        # all-+1 function is the only feasible one.
+        assert forced_plus_vertices(path(3), 1, Mode.CLOSED) == frozenset({0, 1, 2})
 
     def test_c4_total_all_forced(self):
         assert forced_plus_vertices(cycle(4), 1, Mode.TOTAL) == frozenset(range(4))

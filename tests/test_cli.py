@@ -35,6 +35,11 @@ class TestSolve:
         assert code == 0
         assert "gamma_ks = 2" in capsys.readouterr().out
 
+    def test_upper_total_is_usage_error(self, c5_path, capsys):
+        code = main(["solve", "--k", "1", "--param", "upper", "--mode", "total", c5_path])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_structured_matches_text(self, c5_path, capsys):
         main(["solve", "--k", "1", "--algo", "brute", c5_path])
         text = capsys.readouterr().out
@@ -213,6 +218,12 @@ class TestUsage:
         p = tmp_path / "bad.graph"
         p.write_text("p sgd 2 1\ne 1 1\n", encoding="utf-8")
         assert main(["solve", "--k", "1", str(p)]) == 2
+
+    def test_non_utf8_input_is_format_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.graph"
+        p.write_bytes(b"p sgd 2 1\ne 1 \xff2\n")
+        assert main(["solve", "--k", "1", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("format error: not UTF-8")
 
 
 def test_xcheck(capsys):

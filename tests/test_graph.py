@@ -10,8 +10,11 @@ from sgdom import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    emit_certificate,
     emit_graph,
     one_factorization,
+    parse_certificate,
+    parse_cnf,
     parse_graph,
     path,
     regularize_independent_set,
@@ -53,6 +56,75 @@ class TestParse:
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_graph("p sgd 2 1\ne 1 1")
+
+
+# Each format: parser, header and body-line templates, and the emitter that
+# must round-trip whatever parses (None: the CNF format has no emitter).
+# Counts stay small: a header like `p sgd 1000000000000 0` is accepted by the
+# reader and makes Graph allocate one set per vertex.
+_COUNT = st.integers(-1, 64).map(str)
+_SMALL = st.integers(-1, 6).map(str)
+_LITERAL = st.integers(1, 6).map(str)
+_FORMATS = {
+    "graph": (
+        parse_graph,
+        ("p", "sgd", _COUNT, _SMALL),
+        ("e", _SMALL, _SMALL),
+        emit_graph,
+    ),
+    "certificate": (
+        parse_certificate,
+        ("s", "sgd-cert", _SMALL, _SMALL, st.sampled_from(["closed", "total"])),
+        ("v", _SMALL, st.sampled_from(["+1", "-1", "1"])),
+        lambda parsed: emit_certificate(parsed[2], parsed[0], parsed[1]),
+    ),
+    "cnf": (parse_cnf, ("p", "cnf", _COUNT, _SMALL), (_LITERAL,) * 3 + ("0",), None),
+}
+_WORDS = ["p", "s", "e", "v", "c", "sgd", "sgd-cert", "cnf", "closed", "+1", "-1", "0"]
+
+
+@st.composite
+def _format_text(draw, header, body):
+    """Mostly a header and then body lines; a line may also be a stray
+    header or blank, and one token in ten is a format word, a small integer
+    or junk instead of what the template says."""
+    other = st.sampled_from(_WORDS) | _SMALL | st.text(max_size=2)
+    templates = draw(st.lists(st.sampled_from([body, body, body, header, ()]), max_size=6))
+    # Hypothesis favours the ends of a range, so the rare choices test for a
+    # middle value.
+    if draw(st.integers(0, 4)) != 2:
+        templates.insert(0, header)
+    lines = []
+    for template in templates:
+        tokens = [
+            draw(other) if draw(st.integers(0, 9)) == 5
+            else (part if isinstance(part, str) else draw(part))
+            for part in template
+        ]
+        if draw(st.integers(0, 9)) == 5:
+            tokens.append(draw(other))
+        lines.append(" ".join(tokens))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parsers_fuzz(fmt, data):
+    """Every input parses or raises GraphFormatError; bytes that are not
+    UTF-8 raise GraphFormatError; what parses round-trips."""
+    parse, header, body, emit = _FORMATS[fmt]
+    text = data.draw(_format_text(header, body))
+    try:
+        parsed = parse(text)
+    except GraphFormatError:
+        parsed = None
+    if parsed is not None and emit is not None:
+        assert parse(emit(parsed)) == parsed
+    raw = text.encode("utf-8")
+    cut = data.draw(st.integers(0, len(raw)))
+    with pytest.raises(GraphFormatError):
+        parse(raw[:cut] + b"\xff" + raw[cut:])
 
 
 class TestEmit:

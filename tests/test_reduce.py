@@ -61,12 +61,26 @@ class TestFormula:
             ("p cnf 3 y", "malformed header"),
             ("p cnf -1 0", "negative counts"),
             ("p cnf 3 -1", "negative counts"),
+            ("p cnf 0 0", "at least one variable"),
         ],
     )
     def test_bad_header_reports_its_line(self, header, message):
         with pytest.raises(GraphFormatError, match=message) as exc:
             parse_cnf(f"c comment\n{header}\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "clause,message",
+        [
+            ("1 1 2 0", "distinct"),  # repeated variable
+            ("0 1 2 0", "out of range"),  # zero literal
+            ("1 2 4 0", "out of range"),  # variable above n
+        ],
+    )
+    def test_bad_clause_reports_its_line(self, clause, message):
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            parse_cnf(f"p cnf 3 2\n1 2 3 0\n{clause}\n")
+        assert exc.value.line == 3
 
 
 class TestMtdsConstruction:
