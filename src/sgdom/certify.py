@@ -7,7 +7,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphFormatError, _read_lines
+import numpy as np
+
+from .graph import Graph, GraphFormatError, _int_tokens, _read_lines, _repeats
 
 
 class Mode(enum.Enum):
@@ -72,12 +74,13 @@ def verify(g: Graph, k: int, mode: Mode, f: SignFunction) -> VerifyReport:
         raise ValueError("k must be a positive integer")
     if len(f) != g.n:
         raise ValueError(f"certificate length {len(f)} != graph order {g.n}")
-    sums = tuple(
-        sum(f[u] for u in _mode_neighborhood(g, v, mode)) for v in range(g.n)
-    )
-    violations = frozenset(v for v in range(g.n) if sums[v] < k)
-    min_slack = min(sums) - k if g.n else None
-    return VerifyReport(not violations, sums, violations, min_slack)
+    x = np.array(f.values, dtype=np.int64)
+    sums = g.neighbor_sums(x)
+    if mode is Mode.CLOSED:
+        sums += x
+    violations = frozenset(np.flatnonzero(sums < k).tolist())
+    min_slack = int(sums.min()) - k if g.n else None
+    return VerifyReport(not violations, tuple(sums.tolist()), violations, min_slack)
 
 
 @dataclass(frozen=True)
@@ -133,31 +136,51 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Certificate text format
 
+_SIGNS = {"+1": 1, "1": 1, "-1": -1}
+
+
 def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
     """Parse `s sgd-cert <n> <k> <mode>` plus n `v <i> <+1|-1>` lines.
 
-    Returns (k, mode, sign function).
+    Returns (k, mode, sign function). The line loop checks only each line's
+    shape; the indices are converted and checked at once. Every error names
+    the first offending line.
     """
     lines = _read_lines(text, "s", "sgd-cert", int, int, Mode)
     _, (n, k, mode) = next(lines)
-    values: dict[int, int] = {}
-    for lineno, fields in lines:
-        if fields[0] != "v":
-            raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
-        if len(fields) != 3 or fields[2] not in ("+1", "-1", "1"):
-            raise GraphFormatError(f"malformed value line {' '.join(fields)!r}", lineno)
-        try:
-            i = int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"malformed value line {' '.join(fields)!r}", lineno) from None
-        if not (1 <= i <= n):
-            raise GraphFormatError(f"vertex {i} out of range", lineno)
-        if i - 1 in values:
-            raise GraphFormatError(f"vertex {i} assigned twice", lineno)
-        values[i - 1] = 1 if fields[2] in ("+1", "1") else -1
-    if len(values) != n:
-        raise GraphFormatError(f"expected {n} vertex values, found {len(values)}")
-    return k, mode, SignFunction(tuple(values[v] for v in range(n)))
+    tokens: list[str] = []
+    signs: list[str] = []
+    linenos: list[int] = []
+    stop = None  # raised once the indices on earlier lines are checked
+    try:
+        for lineno, fields in lines:
+            if fields[0] != "v":
+                raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
+            if len(fields) != 3 or fields[2] not in _SIGNS:
+                raise GraphFormatError(f"malformed value line {' '.join(fields)!r}", lineno)
+            tokens.append(fields[1])
+            signs.append(fields[2])
+            linenos.append(lineno)
+    except GraphFormatError as exc:
+        stop = exc
+    index, bad = _int_tokens(tokens)
+    if bad is not None:
+        line = f"v {tokens[bad]} {signs[bad]}"
+        stop = GraphFormatError(f"malformed value line {line!r}", linenos[bad])
+    index -= 1
+    out = (index < 0) | (index >= n)
+    wrong = np.flatnonzero(out | _repeats(index))
+    if wrong.size:
+        i = int(wrong[0])
+        problem = "out of range" if out[i] else "assigned twice"
+        raise GraphFormatError(f"vertex {int(tokens[i])} {problem}", linenos[i])
+    if stop is not None:
+        raise stop
+    if index.size != n:
+        raise GraphFormatError(f"expected {n} vertex values, found {index.size}")
+    values = np.empty(n, dtype=np.int64)
+    values[index] = np.fromiter(map(_SIGNS.__getitem__, signs), dtype=np.int64, count=n)
+    return k, mode, SignFunction(tuple(values.tolist()))
 
 
 def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:

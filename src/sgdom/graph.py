@@ -3,8 +3,12 @@ and 1-factorization of complete graphs via the circle method."""
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -20,31 +24,49 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Neighbor sets are stored sorted; adjacency is symmetric, loop-free and
-    without multi-edges by construction.
+    Stored as compressed sparse rows: the neighbors of v are
+    `_nbr[_ptr[v]:_ptr[v + 1]]`, sorted. Adjacency is symmetric, loop-free
+    and without multi-edges by construction.
     """
 
-    __slots__ = ("n", "m", "_adj", "_adjsets")
+    __slots__ = ("n", "m", "_ptr", "_nbr", "_tuples")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adjsets: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in adjsets[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adjsets[u].add(v)
-            adjsets[v].add(u)
-            m += 1
+        if not isinstance(edges, (list, tuple, np.ndarray)):
+            edges = list(edges)
+        pairs, cut = _edge_array(edges)
+        bad = _first_bad_edge(n, pairs)
+        if bad is not None:
+            index, reason = bad
+            u, v = edges[index]
+            message = {
+                "range": f"edge ({u},{v}) out of range for n={n}",
+                "loop": f"self-loop at vertex {u}",
+                "duplicate": f"duplicate edge ({u},{v})",
+            }[reason]
+            raise _EdgeError(message, index, reason)
+        if cut is not None:
+            raise ValueError(f"edge {edges[cut]!r} is not a pair of vertices")
+        src = np.concatenate((pairs[:, 0], pairs[:, 1]))
+        dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
         self.n = n
-        self.m = m
-        self._adjsets = tuple(frozenset(s) for s in adjsets)
-        self._adj = tuple(tuple(sorted(s)) for s in adjsets)
+        self.m = len(pairs)
+        self._nbr = dst[np.lexsort((dst, src))]
+        self._ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self._ptr[1:])
+        self._tuples = None
+
+    @property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """N(v) as a sorted tuple for every v, derived from the rows once,
+        on first use (verify and the degree bounds never need it)."""
+        if self._tuples is None:
+            flat = tuple(self._nbr.tolist())
+            ends = self._ptr.tolist()
+            self._tuples = tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
+        return self._tuples
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v), sorted."""
@@ -56,33 +78,41 @@ class Graph:
         self._check_vertex(v)
         return tuple(sorted(self._adj[v] + (v,)))
 
+    def neighbor_sums(self, x: np.ndarray) -> np.ndarray:
+        """The sum of x over N(v) for every vertex v, from one cumulative sum
+        over the rows; x is indexed by vertex."""
+        csum = np.zeros(self._nbr.size + 1, dtype=x.dtype)
+        np.cumsum(x[self._nbr], out=csum[1:])
+        return csum[self._ptr[1:]] - csum[self._ptr[:-1]]
+
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adjsets[u]
+        row = self._adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return int(self._ptr[v + 1] - self._ptr[v])
 
     @property
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min degree undefined on the empty graph")
-        return min(len(a) for a in self._adj)
+        return int(np.diff(self._ptr).min())
 
     @property
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max degree undefined on the empty graph")
-        return max(len(a) for a in self._adj)
+        return int(np.diff(self._ptr).max())
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        src = np.repeat(np.arange(self.n), np.diff(self._ptr))
+        upper = src < self._nbr
+        return zip(src[upper].tolist(), self._nbr[upper].tolist())
 
     def vertices(self) -> range:
         return range(self.n)
@@ -94,13 +124,84 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adjsets == other._adjsets
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adjsets))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _EdgeError(ValueError):
+    """Graph's error for edges[index]; `reason` is "range", "loop" or
+    "duplicate", as found by `_first_bad_edge`."""
+
+    def __init__(self, message: str, index: int, reason: str):
+        super().__init__(message)
+        self.index = index
+        self.reason = reason
+
+
+# A vertex beyond int64 is stored as this value, which no range accepts.
+_OUT_OF_RANGE = -1
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _edge_array(edges) -> tuple[np.ndarray, int | None]:
+    """The edges as an (m, 2) int64 array, up to the first item that is not
+    a pair, and that item's index (None if every item is a pair). A vertex
+    beyond int64 becomes _OUT_OF_RANGE; one that is not an integer raises
+    TypeError."""
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:  # items of different lengths
+        pairs = None
+    if pairs is not None and pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iub":
+        return pairs.astype(np.int64, copy=False), None
+    cut = next((i for i, e in enumerate(edges) if not _is_pair(e)), None)
+    flat = [operator.index(x) for e in edges[:cut] for x in e]
+    return _int64_array(flat).reshape(-1, 2), cut
+
+
+def _int64_array(values: list[int]) -> np.ndarray:
+    """values as an int64 array; a value beyond int64 becomes _OUT_OF_RANGE."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(
+            [x if _INT64_MIN <= x <= _INT64_MAX else _OUT_OF_RANGE for x in values], dtype=np.int64
+        )
+
+
+def _is_pair(item) -> bool:
+    try:
+        return len(item) == 2
+    except TypeError:
+        return False
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the items whose keys all equal those of an earlier item."""
+    order = np.lexsort(keys)  # stable: equal items keep their order
+    same = np.all([key[order][1:] == key[order][:-1] for key in keys], axis=0)
+    mask = np.zeros(order.size, dtype=bool)
+    mask[order[1:][same]] = True
+    return mask
+
+
+def _first_bad_edge(n: int, pairs: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first edge that is out of range for n
+    vertices, a self-loop or a repeat of an earlier edge in either
+    orientation, checked in that order; None if every edge is good."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loop = u == v
+    bad = np.flatnonzero(out | loop | _repeats(np.maximum(u, v), np.minimum(u, v)))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return i, "range" if out[i] else "loop" if loop[i] else "duplicate"
 
 
 @dataclass(frozen=True)
@@ -128,6 +229,12 @@ class Matching:
 # ---------------------------------------------------------------------------
 # Text I/O ("p sgd" format, DIMACS-style 1-indexed vertices)
 
+# Largest count a header may declare. A graph or certificate of this order
+# still fits in a few hundred megabytes; a larger count is refused before
+# anything is allocated for it.
+_MAX_COUNT = 1 << 22
+
+
 def _read_lines(
     text: str | bytes, tag: str, magic: str, *header
 ) -> Iterator[tuple[int, list]]:
@@ -136,8 +243,8 @@ def _read_lines(
 
     Lines are numbered from 1; blank lines and lines starting with `c` are
     skipped. The header is `<tag> <magic>` followed by one field per
-    converter in `header`; fields read by `int` are counts and must be
-    nonnegative. Yields (lineno, converted header fields) first, then
+    converter in `header`; fields read by `int` are counts and must lie in
+    0.._MAX_COUNT. Yields (lineno, converted header fields) first, then
     (lineno, fields) for every later line. A line before the header, a
     second header and a missing header are format errors.
     """
@@ -148,10 +255,9 @@ def _read_lines(
             raise GraphFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     header_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         if fields[0] != tag:
             if header_line is None:
                 raise GraphFormatError(f"{fields[0]!r} before header", lineno)
@@ -159,47 +265,81 @@ def _read_lines(
             continue
         if header_line is not None:
             raise GraphFormatError("duplicate header", lineno)
+        malformed = GraphFormatError(f"malformed header {raw.strip()!r}", lineno)
         if len(fields) != len(header) + 2 or fields[1] != magic:
-            raise GraphFormatError(f"malformed header {line!r}", lineno)
+            raise malformed
         try:
             values = [parse(x) for parse, x in zip(header, fields[2:])]
         except ValueError:
-            raise GraphFormatError(f"malformed header {line!r}", lineno) from None
-        if any(parse is int and x < 0 for parse, x in zip(header, values)):
+            raise malformed from None
+        counts = [x for parse, x in zip(header, values) if parse is int]
+        if min(counts) < 0:
             raise GraphFormatError("negative counts in header", lineno)
+        if max(counts) > _MAX_COUNT:
+            raise GraphFormatError(f"count too large (limit {_MAX_COUNT})", lineno)
         header_line = lineno
         yield lineno, values
     if header_line is None:
         raise GraphFormatError("missing header")
 
 
+def _int_tokens(tokens: list[str]) -> tuple[np.ndarray, int | None]:
+    """The tokens read by Python `int` (so `+1`, `1_0` and non-ASCII digits
+    count) as an int64 array, up to the first token that is not an integer,
+    and that token's index (None if every token is one). A value beyond
+    int64 becomes _OUT_OF_RANGE."""
+    values: list[int] = []
+    bad = None
+    try:
+        values.extend(map(int, tokens))
+    except ValueError:
+        bad = len(values)  # extend keeps the values read before the bad token
+    return _int64_array(values), bad
+
+
 def parse_graph(text: str | bytes) -> Graph:
-    """Parse the `p sgd <n> <m>` edge-list format into a Graph."""
+    """Parse the `p sgd <n> <m>` edge-list format into a Graph.
+
+    The line loop checks only each line's shape; the vertices of all edges
+    are converted and checked at once by Graph. Every error names the first
+    offending line.
+    """
     lines = _read_lines(text, "p", "sgd", int, int)
     _, (n, m) = next(lines)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, fields in lines:
-        if fields[0] != "e":
-            raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
-        if len(fields) != 3:
-            raise GraphFormatError(f"malformed edge line {' '.join(fields)!r}", lineno)
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise GraphFormatError(f"malformed edge line {' '.join(fields)!r}", lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"vertex out of range in {' '.join(fields)!r}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {key}", lineno)
-        seen.add(key)
-        edges.append((u - 1, v - 1))
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    tokens: list[str] = []
+    linenos: list[int] = []
+    stop = None  # raised once the edges on earlier lines are checked
+    try:
+        for lineno, fields in lines:
+            if fields[0] != "e":
+                raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
+            if len(fields) != 3:
+                raise GraphFormatError(f"malformed edge line {' '.join(fields)!r}", lineno)
+            tokens += fields[1:]
+            linenos.append(lineno)
+    except GraphFormatError as exc:
+        stop = exc
+    values, bad = _int_tokens(tokens)
+    if bad is not None:
+        i = bad // 2
+        line = " ".join(["e", *tokens[2 * i:2 * i + 2]])
+        stop = GraphFormatError(f"malformed edge line {line!r}", linenos[i])
+    try:
+        g = Graph(n, values[:len(values) // 2 * 2].reshape(-1, 2) - 1)
+    except _EdgeError as exc:
+        pair = tokens[2 * exc.index:2 * exc.index + 2]
+        u, v = map(int, pair)
+        message = {
+            "range": f"vertex out of range in {' '.join(['e', *pair])!r}",
+            "loop": f"self-loop at vertex {u}",
+            "duplicate": f"duplicate edge {(min(u, v), max(u, v))}",
+        }[exc.reason]
+        raise GraphFormatError(message, linenos[exc.index]) from None
+    if stop is not None:
+        raise stop
+    if g.m != m:
+        raise GraphFormatError(f"header declares {m} edges, found {g.m}")
+    return g
 
 
 def emit_graph(g: Graph) -> str:

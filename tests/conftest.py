@@ -23,6 +23,30 @@ def nbhd_sums(g, mode, values):
     return sums
 
 
+def reference_graph(n, edges):
+    """Plain per-edge reference for Graph(n, edges).
+
+    Returns (sorted neighbor lists, None), or (None, (i, reason)) for the
+    first edge i that is not a pair ("pair"), has a vertex outside 0..n-1
+    ("range"), is a self-loop ("loop") or repeats an earlier edge in either
+    orientation ("duplicate").
+    """
+    adj = [set() for _ in range(n)]
+    for i, edge in enumerate(edges):
+        if len(edge) != 2:
+            return None, (i, "pair")
+        u, v = edge
+        if not (0 <= u < n and 0 <= v < n):
+            return None, (i, "range")
+        if u == v:
+            return None, (i, "loop")
+        if v in adj[u]:
+            return None, (i, "duplicate")
+        adj[u].add(v)
+        adj[v].add(u)
+    return [sorted(a) for a in adj], None
+
+
 def feasible(g, k, mode, values):
     return all(s >= k for s in nbhd_sums(g, mode, values))
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdom import (
     Graph,
@@ -15,7 +17,32 @@ from sgdom import (
 )
 from sgdom.graph import GraphFormatError
 
-from conftest import all_signs, definitionally_minimal, feasible, random_graph
+from conftest import all_signs, definitionally_minimal, feasible, nbhd_sums, random_graph
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=st.integers(0, 12), data=st.data())
+def test_verify_matches_reference_sums(n, data):
+    """verify's array sums equal the per-vertex reference in both modes, on
+    graphs with isolated vertices and on the empty graph."""
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = data.draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda e: e[0] < e[1]),
+            unique=True,
+            max_size=2 * n if n >= 2 else 0,
+        )
+    )
+    g = Graph(n, edges)
+    values = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    k = data.draw(st.integers(1, 3))
+    for mode in Mode:
+        report = verify(g, k, mode, SignFunction(tuple(values)))
+        sums = nbhd_sums(g, mode, values)
+        assert report.per_vertex_sum == tuple(sums)
+        assert report.violations == frozenset(v for v in range(n) if sums[v] < k)
+        assert report.min_slack == (min(sums) - k if n else None)
+        assert report.feasible == (not report.violations)
 
 
 class TestVerify:
@@ -185,8 +212,25 @@ class TestCertificateFormat:
             "s sgd-cert 2 1 closed\nv 1 +2\nv 2 +1\n",  # bad value
             "s sgd-cert 2 1 sideways\nv 1 +1\nv 2 +1\n",  # bad mode
             "v 1 +1\n",  # no header
+            "s sgd-cert 2 1 closed\nv 99999999999999999999 +1\nv 2 +1\n",  # beyond int64
         ],
     )
     def test_format_errors(self, text):
         with pytest.raises(GraphFormatError):
             parse_certificate(text)
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("v 1 +1\nv 1 -1\nv x +1\nw", "line 3: vertex 1 assigned twice"),
+            ("v 1 +1\nv x +1\nv 1 -1", "line 3: malformed value line 'v x +1'"),
+            ("c\nv 4 +1\nv 1 +2", "line 3: vertex 4 out of range"),
+            ("v 1 +1\nv 2 +1\nv 3 +2\nv 0 -1", "line 4: malformed value line 'v 3 +2'"),
+            ("v 1 +1\nv 2 +1\ns sgd-cert 3 1 closed", "line 4: duplicate header"),
+            ("v 1 +1\nv 2 +1", "expected 3 vertex values, found 2"),
+        ],
+    )
+    def test_first_offending_line_is_named(self, body, error):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_certificate("s sgd-cert 3 1 closed\n" + body)
+        assert str(exc.value) == error

@@ -1,6 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdom import Mode, cycle, emit_certificate, emit_graph, path, SignFunction
 from sgdom.cli import main
@@ -224,6 +230,63 @@ class TestUsage:
         p.write_bytes(b"p sgd 2 1\ne 1 \xff2\n")
         assert main(["solve", "--k", "1", str(p)]) == 2
         assert capsys.readouterr().err.startswith("format error: not UTF-8")
+
+
+# Tokens that stress the number paths: beyond int64, at its edge, header
+# counts above the reader's cap, and plain junk.
+_ODD_TOKENS = st.sampled_from([
+    "99999999999999999999", "-99999999999999999999", "9223372036854775807",
+    "1000000000000", "4194305", "0", "-1", "+1", "1_0", "x",
+])
+
+
+@st.composite
+def _fuzzed_file(draw, n, header, line):
+    """Header `header(draw, n)` and the body lines `line(draw, n, i)`; a
+    third of the files have one token replaced by an odd one, and some have
+    a line too many or too few, or bytes that are not UTF-8."""
+    count = n + (draw(st.integers(-1, 1)) if draw(st.integers(0, 7)) == 0 else 0)
+    rows = [header(draw, n)] + [line(draw, n, i) for i in range(max(count, 0))]
+    if draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_TOKENS)
+    text = "\n".join(" ".join(row) for row in rows).encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + b"\xff\xfe" + text[cut:]
+    return text
+
+
+def _graph_file(n):
+    """A cycle on n vertices (a malformed graph below 3)."""
+    return _fuzzed_file(
+        n,
+        lambda draw, n: ["p", "sgd", str(n), str(n)],
+        lambda draw, n, i: ["e", str(i % max(n, 1) + 1), str((i + 1) % max(n, 1) + 1)],
+    )
+
+
+def _cert_file(n):
+    return _fuzzed_file(
+        n,
+        lambda draw, n: ["s", "sgd-cert", str(n), "1", draw(st.sampled_from(["closed", "total"]))],
+        lambda draw, n, i: ["v", str(i + 1), draw(st.sampled_from(["+1", "-1", "1"]))],
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(0, 6), k=st.integers(1, 2), minimal=st.booleans(), data=st.data())
+def test_verify_and_bound_never_raise(n, k, minimal, data):
+    """Fuzzed graph and certificate files give exit 0, 1 or 2, never a
+    traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, cert_path = Path(tmp, "g.graph"), Path(tmp, "f.cert")
+        graph_path.write_bytes(data.draw(_graph_file(n)))
+        cert_path.write_bytes(data.draw(_cert_file(n)))
+        verify_argv = ["verify", str(graph_path), "--cert", str(cert_path)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(verify_argv + ["--minimal"] * minimal) in (0, 1, 2)
+            assert main(["bound", "--k", str(k), str(graph_path)]) in (0, 1, 2)
 
 
 def test_xcheck(capsys):

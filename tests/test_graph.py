@@ -20,6 +20,8 @@ from sgdom import (
     regularize_independent_set,
 )
 
+from conftest import reference_graph
+
 
 class TestParse:
     def test_path_on_three_vertices(self):
@@ -57,11 +59,125 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_graph("p sgd 2 1\ne 1 1")
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_graph, "p sgd 1000000000000 0"),
+            (parse_graph, "p sgd 4194305 0"),
+            (parse_certificate, "s sgd-cert 1000000000000 1 closed"),
+            (parse_cnf, "p cnf 1000000000000 1"),
+        ],
+    )
+    def test_header_count_cap(self, parse, text):
+        # Refused at the header, before anything is allocated for the count.
+        with pytest.raises(GraphFormatError, match="^line 1: count too large"):
+            parse(text)
+
+    def test_vertex_beyond_int64_is_out_of_range(self):
+        with pytest.raises(
+            GraphFormatError, match="^line 3: vertex out of range in 'e 99999999999999999999 1'"
+        ):
+            parse_graph("p sgd 2 2\ne 1 2\ne 99999999999999999999 1")
+
+    def test_python_int_syntax(self):
+        # Tokens are read by Python's int: signs, underscores, other digits.
+        g = parse_graph("p sgd 12 2\ne +1 1_0\ne \u0663 12")
+        assert list(g.edges()) == [(0, 9), (2, 11)]
+
+
+def _edge_message(n, edge, reason):
+    """Graph's ValueError text for the first bad edge."""
+    if reason == "pair":
+        return f"edge {edge!r} is not a pair of vertices"
+    u, v = edge
+    return {
+        "range": f"edge ({u},{v}) out of range for n={n}",
+        "loop": f"self-loop at vertex {u}",
+        "duplicate": f"duplicate edge ({u},{v})",
+    }[reason]
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): distinct pairs in either orientation, with up to three
+    out-of-range edges, self-loops, repeats of an earlier edge (either
+    orientation) and 3-tuples inserted anywhere."""
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(0, max(n - 1, 0))
+    pair = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(
+        st.lists(pair, unique_by=lambda e: (min(e), max(e)), max_size=12 if n >= 2 else 0)
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(vertex), draw(vertex)
+        bad = [(u, draw(st.sampled_from([-1, n, n + 3]))), (u, u), (u, v, u)]
+        if edges:
+            a, b = draw(st.sampled_from(edges))[:2]
+            bad += [(a, b), (b, a)]
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(bad)))
+    return n, edges
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_edge_lists())
+def test_graph_matches_reference(case):
+    """Graph raises exactly when the per-edge reference does, naming the
+    same first bad edge; otherwise every query agrees with it."""
+    n, edges = case
+    adj, bad = reference_graph(n, edges)
+    if bad is not None:
+        i, reason = bad
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == _edge_message(n, edges[i], reason)
+        return
+    g = Graph(n, edges)
+    assert g.m == len(edges)
+    assert [list(g.neighbors(v)) for v in range(n)] == adj
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
+    assert all(g.has_edge(u, v) == (v in adj[u]) for u in range(n) for v in range(n))
+    if n:
+        assert g.min_degree == min(map(len, adj))
+        assert g.max_degree == max(map(len, adj))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_edge_lists(), data=st.data())
+def test_parse_graph_names_reference_line(case, data):
+    """The same edge lists as 1-indexed `p sgd` text, with comment lines in
+    between: an error names the line of the reference's first bad edge."""
+    n, edges = case
+    lines = [f"p sgd {n} {len(edges)}"]
+    edge_line = []
+    for edge in edges:
+        if data.draw(st.booleans()):
+            lines.append("c between edges")
+        lines.append(" ".join(["e", *(str(x + 1) for x in edge)]))
+        edge_line.append(len(lines))
+    text = "\n".join(lines)
+    adj, bad = reference_graph(n, edges)
+    if bad is None:
+        g = parse_graph(text)
+        assert [list(g.neighbors(v)) for v in range(n)] == adj
+        return
+    i, reason = bad
+    e = [x + 1 for x in edges[i]]
+    message = {
+        "pair": f"malformed edge line {' '.join(['e', *map(str, e)])!r}",
+        "range": f"vertex out of range in {f'e {e[0]} {e[1]}'!r}",
+        "loop": f"self-loop at vertex {e[0]}",
+        "duplicate": f"duplicate edge {(min(e), max(e))}",
+    }[reason]
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == f"line {edge_line[i]}: {message}"
+
 
 # Each format: parser, header and body-line templates, and the emitter that
 # must round-trip whatever parses (None: the CNF format has no emitter).
-# Counts stay small: a header like `p sgd 1000000000000 0` is accepted by the
-# reader and makes Graph allocate one set per vertex.
+# Counts stay small so that most headers fit the body lines drawn; counts
+# above the reader's cap are refused (TestParse.test_header_count_cap).
 _COUNT = st.integers(-1, 64).map(str)
 _SMALL = st.integers(-1, 6).map(str)
 _LITERAL = st.integers(1, 6).map(str)
