@@ -4,12 +4,20 @@ signed total k-domination, and minimality of signed k-dominating functions."""
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, GraphFormatError, _int_tokens, _read_lines, _repeats
+from .graph import (
+    Graph,
+    GraphFormatError,
+    _int_tokens,
+    _read_canonical,
+    _read_lines,
+    _repeats,
+)
 
 
 class Mode(enum.Enum):
@@ -137,14 +145,36 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
 # Certificate text format
 
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
+_SIGN_TEXT = {1: "+1", -1: "-1"}
+# The value lines `emit_certificate` writes; the sign is the third byte from
+# the end of each line.
+_VALUE_LINES = re.compile(rb"(?:v [1-9][0-9]{0,6} [+-]1\n)*")
 
 
 def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
     """Parse `s sgd-cert <n> <k> <mode>` plus n `v <i> <+1|-1>` lines.
 
-    Returns (k, mode, sign function). The line loop checks only each line's
-    shape; the indices are converted and checked at once. Every error names
-    the first offending line.
+    Returns (k, mode, sign function). Text in the form `emit_certificate`
+    writes, with the indices 1..n in order, is read by one pattern match and
+    array arithmetic. Any other text, and any text with an error, goes
+    through the per-line reader, which gives the same result or names the
+    first offending line.
+    """
+    fast = _read_canonical(text, "s", "sgd-cert", (int, int, Mode), _VALUE_LINES)
+    if fast is not None:
+        (n, k, mode), chars, numbers = fast
+        if np.array_equal(numbers[::2], np.arange(1, n + 1)):
+            signs = chars[np.flatnonzero(chars == ord("\n")) - 2]
+            values = np.where(signs == ord("+"), 1, -1)
+            return k, mode, SignFunction(tuple(values.tolist()))
+    return _parse_certificate_lines(text)
+
+
+def _parse_certificate_lines(text: str | bytes) -> tuple[int, Mode, SignFunction]:
+    """The per-line path of `parse_certificate`.
+
+    The line loop checks only each line's shape; the indices are converted
+    and checked at once. Every error names the first offending line.
     """
     lines = _read_lines(text, "s", "sgd-cert", int, int, Mode)
     _, (n, k, mode) = next(lines)
@@ -184,7 +214,7 @@ def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
 
 
 def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:
-    lines = [f"s sgd-cert {len(f)} {k} {mode.value}"]
-    lines.extend(f"v {v + 1} {'+1' if f[v] == 1 else '-1'}" for v in range(len(f)))
-    return "\n".join(lines) + "\n"
+    lines = [f"s sgd-cert {len(f)} {k} {mode.value}\n"]
+    lines.extend([f"v {i} {_SIGN_TEXT[x]}\n" for i, x in enumerate(f.values, start=1)])
+    return "".join(lines)
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 infeasible or failed check, 2 format/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,19 +61,37 @@ def _record(**fields) -> dict:
     return base
 
 
+class _FileError(Exception):
+    """A file named on the command line could not be read or written."""
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _FileError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _FileError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(args, text_lines: list[str], record: dict) -> None:
     if args.format == "structured":
         out = json.dumps(record, indent=2, sort_keys=True) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(out, encoding="utf-8")
+        _write_text(args.output, out)
     else:
         sys.stdout.write(out)
 
 
 def _read_graph(path: str):
-    return parse_graph(Path(path).read_bytes())
+    return parse_graph(_read_bytes(path))
 
 
 def _cmd_solve(args) -> int:
@@ -114,7 +133,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    cert_k, cert_mode, f = parse_certificate(Path(args.cert).read_bytes())
+    cert_k, cert_mode, f = parse_certificate(_read_bytes(args.cert))
     k = args.k if args.k is not None else cert_k
     mode = Mode(args.mode) if args.mode else cert_mode
     report = verify(g, k, mode, f)
@@ -194,11 +213,9 @@ def _cmd_gen_extremal(args) -> int:
     ]
     if args.output:
         base = Path(args.output)
-        base.with_suffix(".graph").write_text(emit_graph(g), encoding="utf-8")
-        base.with_suffix(".cert").write_text(
-            emit_certificate(cert, spec.k, spec.mode), encoding="utf-8"
-        )
-        base.with_suffix(".report").write_text("\n".join(report) + "\n", encoding="utf-8")
+        _write_text(base.with_suffix(".graph"), emit_graph(g))
+        _write_text(base.with_suffix(".cert"), emit_certificate(cert, spec.k, spec.mode))
+        _write_text(base.with_suffix(".report"), "\n".join(report) + "\n")
         sys.stdout.write("\n".join(report) + "\n")
     else:
         sys.stdout.write(emit_graph(g))
@@ -216,7 +233,7 @@ def _cmd_gen_onefactor(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    text = Path(args.input).read_bytes()
+    text = _read_bytes(args.input)
     if args.source == ONE_IN_THREE:
         art = reduce_1in3(parse_cnf(text), args.k)
         threshold_line = f"threshold: {art.threshold_value}"
@@ -227,8 +244,8 @@ def _cmd_reduce(args) -> int:
         threshold_line = f"threshold: r -> 2r {'+' if off >= 0 else '-'} {abs(off)}"
     if args.output:
         base = Path(args.output)
-        base.with_suffix(".graph").write_text(emit_graph(art.graph), encoding="utf-8")
-        base.with_suffix(".prov").write_text(emit_provenance(art), encoding="utf-8")
+        _write_text(base.with_suffix(".graph"), emit_graph(art.graph))
+        _write_text(base.with_suffix(".prov"), emit_provenance(art))
         sys.stdout.write(threshold_line + "\n")
     else:
         sys.stdout.write(emit_graph(art.graph))
@@ -282,7 +299,21 @@ def _cmd_xcheck(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+def _cap(text: str) -> int:
+    """The argparse type of a resource cap: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every call of `main` can share it."""
     parser = argparse.ArgumentParser(
         prog="sgd",
         description="Exact signed (total) k-domination toolkit.",
@@ -299,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["closed", "total"], default="closed")
     p.add_argument("--param", choices=["sigma", "upper"], default="sigma")
     p.add_argument("--algo", choices=["brute", "bnb"], default="bnb")
-    p.add_argument("--max-brute-n", type=int, default=DEFAULT_MAX_BRUTE_N)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-brute-n", type=_cap, default=DEFAULT_MAX_BRUTE_N)
+    p.add_argument("--node-budget", type=_cap, default=DEFAULT_NODE_BUDGET)
     add_common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -361,8 +392,8 @@ def main(argv=None) -> int:
     except GraphFormatError as exc:
         sys.stderr.write(f"format error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"cannot read {exc.filename}\n")
+    except _FileError as exc:
+        sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -4,6 +4,7 @@ and 1-factorization of complete graphs via the circle method."""
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -96,23 +97,32 @@ class Graph:
         self._check_vertex(v)
         return int(self._ptr[v + 1] - self._ptr[v])
 
+    def _degrees(self) -> np.ndarray:
+        """The degree of every vertex, as an array indexed by vertex."""
+        return np.diff(self._ptr)
+
     @property
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min degree undefined on the empty graph")
-        return int(np.diff(self._ptr).min())
+        return int(self._degrees().min())
 
     @property
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max degree undefined on the empty graph")
-        return int(np.diff(self._ptr).max())
+        return int(self._degrees().max())
+
+    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (u, v) of all edges with u < v, in lexicographic order."""
+        src = np.repeat(np.arange(self.n), self._degrees())
+        upper = src < self._nbr
+        return src[upper], self._nbr[upper]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
-        src = np.repeat(np.arange(self.n), np.diff(self._ptr))
-        upper = src < self._nbr
-        return zip(src[upper].tolist(), self._nbr[upper].tolist())
+        u, v = self._edge_columns()
+        return zip(u.tolist(), v.tolist())
 
     def vertices(self) -> range:
         return range(self.n)
@@ -297,8 +307,76 @@ def _int_tokens(tokens: list[str]) -> tuple[np.ndarray, int | None]:
     return _int64_array(values), bad
 
 
+# The exact form the emitters write: the header first, as printable ASCII
+# tokens separated by single spaces, then only body lines. A vertex or index
+# has at most 7 digits, as the counts are at most _MAX_COUNT.
+_HEADER_LINE = re.compile(rb"[!-~]+(?: [!-~]+)*\n")
+_EDGE_LINES = re.compile(rb"(?:e [1-9][0-9]{0,6} [1-9][0-9]{0,6}\n)*")
+
+
+def _read_canonical(
+    text: str | bytes, tag: str, magic: str, header: tuple, body: re.Pattern
+) -> tuple[list, np.ndarray, np.ndarray] | None:
+    """The fast lane of the line readers, for text in exactly the form the
+    emitters write: the header on the first line, then lines that the
+    compiled bytes pattern `body` matches in full.
+
+    The header is read by `_read_lines`, so its rules and count cap hold.
+    Returns the header values, the body as a uint8 array and every run of
+    ASCII digits in the body as an int64 array, in order. Returns None for
+    text in any other form or with a refused header; the caller then runs its
+    per-line path, which alone reports errors.
+    """
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+    head = _HEADER_LINE.match(text)
+    if head is None or body.fullmatch(text, head.end()) is None:
+        return None
+    try:
+        _, values = next(_read_lines(head.group(), tag, magic, *header))
+    except GraphFormatError:
+        return None
+    chars = np.frombuffer(text, dtype=np.uint8, offset=head.end())
+    return values, chars, _digit_runs(chars)
+
+
+def _digit_runs(chars: np.ndarray) -> np.ndarray:
+    """Each maximal run of ASCII digits in chars (at most 7 digits long) as
+    a decimal int64, in order."""
+    at = np.flatnonzero(chars - ord("0") < 10)  # uint8: bytes below '0' wrap
+    if at.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+    last = np.append(first[1:], at.size) - 1
+    place = np.repeat(at[last], last - first + 1) - at
+    return np.add.reduceat((chars[at] - ord("0")) * 10**place, first)
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the `p sgd <n> <m>` edge-list format into a Graph.
+
+    Text in the form `emit_graph` writes is read by one pattern match and
+    array arithmetic. Any other text, and any text with an error, goes
+    through the per-line reader, which gives the same Graph or names the
+    first offending line.
+    """
+    fast = _read_canonical(text, "p", "sgd", (int, int), _EDGE_LINES)
+    if fast is not None:
+        (n, m), _, numbers = fast
+        try:
+            g = Graph(n, numbers.reshape(-1, 2) - 1)
+        except _EdgeError:
+            pass
+        else:
+            if g.m == m:
+                return g
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str | bytes) -> Graph:
+    """The per-line path of `parse_graph`.
 
     The line loop checks only each line's shape; the vertices of all edges
     are converted and checked at once by Graph. Every error names the first
@@ -344,9 +422,9 @@ def parse_graph(text: str | bytes) -> Graph:
 
 def emit_graph(g: Graph) -> str:
     """Canonical text form: header, then edges `e u v` with u < v, sorted."""
-    lines = [f"p sgd {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    u, v = g._edge_columns()
+    pairs = np.column_stack((u + 1, v + 1)).ravel().tolist()
+    return f"p sgd {g.n} {g.m}\n" + ("e %d %d\n" * g.m) % tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

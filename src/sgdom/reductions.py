@@ -5,6 +5,10 @@ k-domination, and 1-in-3 SAT -> upper signed k-domination."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+
+import numpy as np
 
 from .certify import Mode, SignFunction, is_minimal_skdf, verify
 from .graph import Graph, GraphFormatError, _read_lines
@@ -70,22 +74,41 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
 @dataclass(frozen=True)
 class ReductionArtifact:
     """Output of one reduction: the gadget graph, the block-vertex count T,
-    the threshold transform, and per-vertex provenance labels."""
+    the threshold transform, and per-vertex provenance labels.
+
+    The labels are stored as columns: `labels` is a sequence of runs
+    (head, columns) over consecutive vertices, and the i-th vertex of a run
+    is labelled (head, *(column[i] for column in columns)). `provenance` and
+    `vertex_of` expand them into tuples on first use.
+    """
 
     kind: str
     k: int
     graph: Graph
     T: int
-    provenance: tuple[tuple, ...]
+    labels: tuple[tuple[str, tuple[np.ndarray, ...]], ...] = field(compare=False, repr=False)
     source_graph: Graph | None = None
     formula: ThreeSatFormula | None = None
     threshold_value: int | None = None  # SAT reduction only
-    _label_index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        rows = sum(len(columns[0]) for _, columns in self.labels)
+        assert rows == self.graph.n, "one provenance label per vertex"
+
+    @cached_property
+    def provenance(self) -> tuple[tuple, ...]:
+        """The label of every vertex as a tuple, e.g. ("original", 3)."""
+        return tuple(
+            label
+            for head, columns in self.labels
+            for label in zip(repeat(head), *(column.tolist() for column in columns))
+        )
+
+    @cached_property
+    def _label_index(self) -> dict[tuple, int]:
         index = {label: v for v, label in enumerate(self.provenance)}
         assert len(index) == self.graph.n, "provenance labels must be unique"
-        object.__setattr__(self, "_label_index", index)
+        return index
 
     @property
     def mode(self) -> Mode:
@@ -114,43 +137,55 @@ class ReductionArtifact:
         return self._label_index[label]
 
 
-def _labels_text(label: tuple) -> str:
-    head, *rest = label
-    return f"{head}({','.join(str(x) for x in rest)})"
-
-
 def emit_provenance(art: ReductionArtifact) -> str:
-    """Sidecar text: one `<1-indexed id> <label>` line per vertex."""
-    lines = [
-        f"{v + 1} {_labels_text(label)}" for v, label in enumerate(art.provenance)
-    ]
-    return "\n".join(lines) + "\n"
+    """Sidecar text: one `<1-indexed id> <label>` line per vertex, e.g.
+    `4 clique_block(1,1,0)`."""
+    parts = []
+    start = 1
+    for head, columns in art.labels:
+        rows = len(columns[0])
+        line = f"%d {head}({','.join(['%d'] * len(columns))})\n"
+        ids = np.arange(start, start + rows)
+        parts.append((line * rows) % tuple(np.column_stack((ids, *columns)).ravel().tolist()))
+        start += rows
+    return "".join(parts)
+
+
+def _cliques(bases: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The edges (base + x[j], base + y[j]) for every base and j, as an
+    (m, 2) array: one copy of the pattern (x, y) per block."""
+    return np.column_stack(((bases[:, None] + x).ravel(), (bases[:, None] + y).ravel()))
 
 
 def _attach_blocks(
-    g: Graph, k: int, block_size: int, count_of, kind: str
-) -> tuple[Graph, int, tuple[tuple, ...]]:
-    """Shared machinery for the two set reductions: per original vertex v,
-    attach count_of(v) disjoint complete blocks, each joined to v by one edge
-    from the block's local vertex 0."""
+    g: Graph, block_size: int, counts: np.ndarray
+) -> tuple[Graph, int, tuple]:
+    """Shared machinery for the two set reductions: vertex v gets counts[v]
+    disjoint complete blocks, each joined to v by one edge from the block's
+    local vertex 0. The blocks follow the source vertices, in order of owner.
+    Returns the gadget, T and the label columns."""
     if g.n == 0 or g.min_degree == 0:
         raise InvalidSourceError("reduction input must have no isolated vertices")
     n0 = g.n
-    edges = list(g.edges())
-    provenance: list[tuple] = [("original", v + 1) for v in range(n0)]
-    nxt = n0
-    for v in range(n0):
-        for i in range(1, count_of(v) + 1):
-            base = nxt
-            for x in range(block_size):
-                provenance.append((f"{kind}_block", v + 1, i, x))
-                for y in range(x + 1, block_size):
-                    edges.append((base + x, base + y))
-            edges.append((v, base))
-            nxt += block_size
-    h = Graph(nxt, edges)
-    t_total = nxt - n0
-    return h, t_total, tuple(provenance)
+    blocks = int(counts.sum())
+    owner = np.repeat(np.arange(n0), counts)
+    bases = n0 + block_size * np.arange(blocks)
+    edges = np.concatenate((
+        np.column_stack(g._edge_columns()),
+        _cliques(bases, *np.triu_indices(block_size, 1)),
+        np.column_stack((owner, bases)),
+    ))
+    h = Graph(n0 + block_size * blocks, edges)
+    number = np.arange(blocks) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    labels = (
+        ("original", (np.arange(1, n0 + 1),)),
+        ("clique_block", (
+            np.repeat(owner + 1, block_size),
+            np.repeat(number, block_size),
+            np.tile(np.arange(block_size), blocks),
+        )),
+    )
+    return h, block_size * blocks, labels
 
 
 class InvalidSourceError(ValueError):
@@ -166,13 +201,11 @@ def reduce_mtds(g: Graph, k: int) -> ReductionArtifact:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    h, t_total, provenance = _attach_blocks(
-        g, k, k + 2, lambda v: g.degree(v) + k - 2, "clique"
-    )
-    for v in range(g.n):
-        assert h.degree(v) == 2 * g.degree(v) + k - 2
-    assert t_total == (k + 2) * sum(g.degree(v) + k - 2 for v in range(g.n))
-    return ReductionArtifact(MTDS, k, h, t_total, provenance, source_graph=g)
+    degrees = g._degrees()
+    h, t_total, labels = _attach_blocks(g, k + 2, degrees + k - 2)
+    assert (h._degrees()[:g.n] == 2 * degrees + k - 2).all()
+    assert t_total == (k + 2) * int((degrees + k - 2).sum())
+    return ReductionArtifact(MTDS, k, h, t_total, labels, source_graph=g)
 
 
 def reduce_mds(g: Graph, k: int) -> ReductionArtifact:
@@ -183,11 +216,10 @@ def reduce_mds(g: Graph, k: int) -> ReductionArtifact:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    h, t_total, provenance = _attach_blocks(
-        g, k, k + 1, lambda v: g.degree(v) + k - 1, "clique"
-    )
-    assert t_total == (k + 1) * sum(g.degree(v) + k - 1 for v in range(g.n))
-    return ReductionArtifact(MDS, k, h, t_total, provenance, source_graph=g)
+    degrees = g._degrees()
+    h, t_total, labels = _attach_blocks(g, k + 1, degrees + k - 1)
+    assert t_total == (k + 1) * int((degrees + k - 1).sum())
+    return ReductionArtifact(MDS, k, h, t_total, labels, source_graph=g)
 
 
 def reduce_1in3(formula: ThreeSatFormula, k: int) -> ReductionArtifact:
@@ -202,34 +234,32 @@ def reduce_1in3(formula: ThreeSatFormula, k: int) -> ReductionArtifact:
     if k < 1:
         raise ValueError("k must be a positive integer")
     n, m = formula.num_vars, formula.num_clauses
-    edges: list[tuple[int, int]] = []
-    provenance: list[tuple] = []
-    clause_base = [i * (k + 2) for i in range(m)]
-    var_base = [m * (k + 2) + j * (k + 3) for j in range(n)]
-    for i in range(m):
-        base = clause_base[i]
-        for x in range(k + 2):
-            provenance.append(("clause_block", i + 1, x))
-            for y in range(x + 1, k + 2):
-                edges.append((base + x, base + y))
-    for j in range(n):
-        base = var_base[j]
-        for x in range(k + 3):
-            provenance.append(("variable_block", j + 1, x))
-            for y in range(x + 1, k + 3):
-                if (x, y) != (0, 1):
-                    edges.append((base + x, base + y))
-    for i, clause in enumerate(formula.clauses):
-        for var in clause:
-            edges.append((clause_base[i], var_base[var - 1]))
-    h = Graph(m * (k + 2) + n * (k + 3), edges)
+    clause_size, var_size = k + 2, k + 3
+    clause_bases = clause_size * np.arange(m)
+    var_bases = clause_size * m + var_size * np.arange(n)
+    var_x, var_y = np.triu_indices(var_size, 1)  # (0, 1) comes first
+    lits = np.array(formula.clauses, dtype=np.int64).reshape(m, 3)
+    edges = np.concatenate((
+        _cliques(clause_bases, *np.triu_indices(clause_size, 1)),
+        _cliques(var_bases, var_x[1:], var_y[1:]),
+        np.column_stack((np.repeat(clause_bases, 3), var_bases[lits.ravel() - 1])),
+    ))
+    h = Graph(clause_size * m + var_size * n, edges)
+    labels = (
+        ("clause_block", (
+            np.repeat(np.arange(1, m + 1), clause_size), np.tile(np.arange(clause_size), m),
+        )),
+        ("variable_block", (
+            np.repeat(np.arange(1, n + 1), var_size), np.tile(np.arange(var_size), n),
+        )),
+    )
     assert h.n == (k + 3) * n + (k + 2) * m
     return ReductionArtifact(
         ONE_IN_THREE,
         k,
         h,
         h.n,
-        tuple(provenance),
+        labels,
         formula=formula,
         threshold_value=(k + 1) * n + (k + 2) * m,
     )

@@ -132,6 +132,76 @@ def all_signs(n):
     return product((-1, 1), repeat=n)
 
 
+# Per-edge reference builders for the reduction gadgets: tuples appended in
+# loops, block by block, as the paper describes the constructions.
+
+def loop_set_gadget(g, k, kind):
+    """(gadget, T, provenance) of the MDS (kind "mds") or MTDS ("mtds")
+    reduction: vertex v gets d(v)+k-1 copies of K_{k+1} (mds) or d(v)+k-2
+    copies of K_{k+2} (mtds), each joined to v from its local vertex 0."""
+    size, extra = (k + 1, k - 1) if kind == "mds" else (k + 2, k - 2)
+    edges = list(g.edges())
+    provenance = [("original", v + 1) for v in range(g.n)]
+    nxt = g.n
+    for v in range(g.n):
+        for i in range(1, g.degree(v) + extra + 1):
+            for x in range(size):
+                provenance.append(("clique_block", v + 1, i, x))
+                for y in range(x + 1, size):
+                    edges.append((nxt + x, nxt + y))
+            edges.append((v, nxt))
+            nxt += size
+    return Graph(nxt, edges), nxt - g.n, tuple(provenance)
+
+
+def loop_1in3_gadget(formula, k):
+    """(gadget, T, provenance) of the 1-in-3 SAT reduction: a K_{k+2} per
+    clause, a K_{k+3} minus the edge of locals 0 and 1 per variable, and the
+    clause's local 0 joined to local 0 of each of its variables."""
+    n, m = formula.num_vars, formula.num_clauses
+    edges, provenance = [], []
+    clause_base = [i * (k + 2) for i in range(m)]
+    var_base = [m * (k + 2) + j * (k + 3) for j in range(n)]
+    for i in range(m):
+        for x in range(k + 2):
+            provenance.append(("clause_block", i + 1, x))
+            for y in range(x + 1, k + 2):
+                edges.append((clause_base[i] + x, clause_base[i] + y))
+    for j in range(n):
+        for x in range(k + 3):
+            provenance.append(("variable_block", j + 1, x))
+            for y in range(x + 1, k + 3):
+                if (x, y) != (0, 1):
+                    edges.append((var_base[j] + x, var_base[j] + y))
+    for i, clause in enumerate(formula.clauses):
+        for var in clause:
+            edges.append((clause_base[i], var_base[var - 1]))
+    h = Graph(m * (k + 2) + n * (k + 3), edges)
+    return h, h.n, tuple(provenance)
+
+
+def loop_graph_text(g):
+    """Reference text of emit_graph, one formatted line per edge."""
+    lines = [f"p sgd {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def loop_provenance_text(provenance):
+    """Reference text of emit_provenance, one formatted line per label."""
+    lines = [
+        f"{v + 1} {head}({','.join(str(x) for x in rest)})"
+        for v, (head, *rest) in enumerate(provenance)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def loop_certificate_text(f, k, mode):
+    """Reference text of emit_certificate, one formatted line per vertex."""
+    lines = [f"s sgd-cert {len(f)} {k} {mode.value}"]
+    lines += [f"v {v + 1} {'+1' if f[v] == 1 else '-1'}" for v in range(len(f))]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

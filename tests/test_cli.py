@@ -231,6 +231,52 @@ class TestUsage:
         assert main(["solve", "--k", "1", str(p)]) == 2
         assert capsys.readouterr().err.startswith("format error: not UTF-8")
 
+    def test_directory_input_cannot_be_read(self, c5_path, tmp_path, capsys):
+        assert main(["solve", str(tmp_path), "--k", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read {tmp_path}:")
+        assert main(["verify", c5_path, "--cert", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read {tmp_path}:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "{graph}", "--from", "mds", "--k", "1", "-o", "{missing}/x"],
+            ["solve", "{graph}", "--k", "1", "-o", "{missing}/x"],
+            ["gen", "extremal", "--k", "1", "--delta", "2", "--Delta", "3", "--t", "4",
+             "-o", "{missing}/x"],
+        ],
+    )
+    def test_failed_write_is_reported_as_a_write(self, c5_path, tmp_path, capsys, argv):
+        missing = tmp_path / "no" / "such" / "dir"
+        argv = [arg.format(graph=c5_path, missing=missing) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write {missing}/x")
+
+    @pytest.mark.parametrize("flag, value", [("--node-budget", "-5"), ("--max-brute-n", "-1")])
+    def test_negative_cap_is_usage_error(self, c5_path, capsys, flag, value):
+        assert main(["solve", c5_path, "--k", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be nonnegative, got {value}" in captured.err
+
+
+def test_consecutive_calls_share_no_state(c5_path, tmp_path, capsys):
+    """main builds its parser once per process; a flag or output file given
+    to one call does not carry over to the next."""
+    cert = tmp_path / "c.cert"
+    cert.write_text(emit_certificate(SignFunction((-1, 1, 1, 1, 1)), 1, Mode.CLOSED))
+    verify = ["verify", c5_path, "--cert", str(cert)]
+    assert main(verify + ["--minimal"]) == 0
+    assert "minimal = " in capsys.readouterr().out
+    assert main(verify) == 0
+    assert "minimal = " not in capsys.readouterr().out
+    out = tmp_path / "solve.txt"
+    solve = ["solve", c5_path, "--k", "1"]
+    assert main(solve + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(solve) == 0
+    assert capsys.readouterr().out == out.read_text()
+
 
 # Tokens that stress the number paths: beyond int64, at its edge, header
 # counts above the reader's cap, and plain junk.

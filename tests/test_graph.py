@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from sgdom import (
     Graph,
     GraphFormatError,
     Matching,
+    Mode,
+    SignFunction,
     complete,
     complete_bipartite,
     cycle,
@@ -20,7 +24,10 @@ from sgdom import (
     regularize_independent_set,
 )
 
-from conftest import reference_graph
+from sgdom.certify import _parse_certificate_lines
+from sgdom.graph import _parse_graph_lines
+
+from conftest import loop_certificate_text, loop_graph_text, reference_graph
 
 
 class TestParse:
@@ -241,6 +248,122 @@ def test_parsers_fuzz(fmt, data):
     cut = data.draw(st.integers(0, len(raw)))
     with pytest.raises(GraphFormatError):
         parse(raw[:cut] + b"\xff" + raw[cut:])
+
+
+@st.composite
+def _graphs(draw):
+    """A graph of up to 12 edges; some have a large order, so that vertex
+    numbers of up to 7 digits occur."""
+    n = draw(st.integers(0, 30) | st.sampled_from([999, 1_000_000]))
+    if n < 2:
+        return Graph(n)
+    vertex = st.integers(0, n - 1) | st.sampled_from([0, n - 2, n - 1])
+    pair = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, unique_by=lambda e: (min(e), max(e)), max_size=12))
+    return Graph(n, edges)
+
+
+def _contents(parsed):
+    """A parse result, with a Graph as its order and edge list: Graph's ==
+    derives a tuple per vertex, slow at a million vertices."""
+    if isinstance(parsed, Graph):
+        return parsed.n, list(parsed.edges())
+    return parsed
+
+
+_sign_functions = st.lists(st.sampled_from([-1, 1]), max_size=40).map(
+    lambda values: SignFunction(tuple(values))
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(g=_graphs(), f=_sign_functions, k=st.integers(1, 4), mode=st.sampled_from(list(Mode)))
+def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode):
+    """What the emitters write is read back equal, as str and as bytes,
+    without the per-line path; the emitters write the per-line reference
+    text byte for byte."""
+    graph_text = emit_graph(g)
+    cert_text = emit_certificate(f, k, mode)
+    assert graph_text == loop_graph_text(g)
+    assert cert_text == loop_certificate_text(f, k, mode)
+    refuse = mock.Mock(side_effect=AssertionError("per-line path taken"))
+    with mock.patch("sgdom.graph._parse_graph_lines", refuse), \
+            mock.patch("sgdom.certify._parse_certificate_lines", refuse):
+        for text in (graph_text, graph_text.encode("ascii")):
+            assert _contents(parse_graph(text)) == _contents(g)
+        for text in (cert_text, cert_text.encode("ascii")):
+            assert parse_certificate(text) == (k, mode, f)
+
+
+def test_long_emitted_text_reads_back_in_the_fast_lane():
+    g = complete(150)
+    f = SignFunction((1, -1, -1) * 4000)
+    refuse = mock.Mock(side_effect=AssertionError("per-line path taken"))
+    with mock.patch("sgdom.graph._parse_graph_lines", refuse), \
+            mock.patch("sgdom.certify._parse_certificate_lines", refuse):
+        assert parse_graph(emit_graph(g)) == g
+        assert parse_certificate(emit_certificate(f, 2, Mode.TOTAL)) == (2, Mode.TOTAL, f)
+
+
+def _perturbations(tag):
+    """Edits of a canonical text's lines (header first): each makes the text
+    non-canonical, wrong, or both. `tag` is the body-line tag."""
+    return {
+        "comment line": lambda lines, i: lines[:i] + ["c note"] + lines[i:],
+        "blank line": lambda lines, i: lines[:i] + [""] + lines[i:],
+        "crlf": lambda lines, i: [line + "\r" for line in lines],
+        "one crlf": lambda lines, i: lines[:i] + [lines[i] + "\r"] + lines[i + 1:],
+        "line separator": lambda lines, i: lines[:i] + [lines[i] + "\x0bx"] + lines[i + 1:],
+        "tab": lambda lines, i: lines[:i] + [lines[i].replace(" ", "\t", 1)] + lines[i + 1:],
+        "double space": lambda lines, i: lines[:i] + [lines[i].replace(" ", "  ")] + lines[i + 1:],
+        "plus sign": lambda lines, i: lines[:i] + [lines[i].replace(" ", " +", 1)] + lines[i + 1:],
+        "leading zero": lambda lines, i: lines[:i] + [lines[i].replace(" ", " 0", 1)] + lines[i + 1:],
+        "non-ASCII digit": lambda lines, i: [line.replace("3", "\u0663") for line in lines],
+        "repeated line": lambda lines, i: lines + [lines[i]],
+        "reversed line": lambda lines, i: lines + [" ".join([tag] + lines[i].split()[:0:-1])],
+        "vertex 0": lambda lines, i: lines + [f"{tag} 0 1"],
+        "vertex beyond n": lambda lines, i: lines + [f"{tag} 1 {lines[0].split()[2]}1"],
+        "eight digits": lambda lines, i: lines + [f"{tag} 12345678 1"],
+        "lines swapped": lambda lines, i: lines[:1] + lines[:0:-1],
+        "line dropped": lambda lines, i: lines[:i] + lines[i + 1:],
+        "count + 1": lambda lines, i: [_bump(lines[0], 2, 1)] + lines[1:],
+        "count - 1": lambda lines, i: [_bump(lines[0], 2, -1)] + lines[1:],
+        "last count + 1": lambda lines, i: [_bump(lines[0], 3, 1)] + lines[1:],
+        "count above cap": lambda lines, i: [_bump(lines[0], 2, 1 << 22)] + lines[1:],
+    }
+
+
+def _bump(header, field, by):
+    fields = header.split()
+    fields[field] = str(int(fields[field]) + by)
+    return " ".join(fields)
+
+
+@pytest.mark.parametrize("fmt", ["graph", "certificate"])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(g=_graphs(), f=_sign_functions, data=st.data())
+def test_perturbed_text_matches_per_line_path(fmt, g, f, data):
+    """A perturbed canonical text gives the per-line path's result, or its
+    error with the same message and line, as str and as bytes."""
+    if fmt == "graph":
+        parse, reference, text, tag = parse_graph, _parse_graph_lines, emit_graph(g), "e"
+    else:
+        text = emit_certificate(f, data.draw(st.integers(1, 3)), Mode.CLOSED)
+        parse, reference, tag = parse_certificate, _parse_certificate_lines, "v"
+    lines = text.splitlines()
+    edit = data.draw(st.sampled_from(sorted(_perturbations(tag))))
+    lines = _perturbations(tag)[edit](lines, data.draw(st.integers(0, len(lines) - 1)))
+    # One text in five also loses its final newline.
+    text = "\n".join(lines) + "\n" * (data.draw(st.integers(0, 4)) != 2)
+    for raw in (text, text.encode("utf-8")):
+        try:
+            want = reference(raw)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                parse(raw)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        else:
+            assert _contents(parse(raw)) == _contents(want)
 
 
 class TestEmit:

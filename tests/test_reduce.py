@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sgdom import (
@@ -21,10 +23,18 @@ from sgdom import (
     reduce_mtds,
     verify,
 )
-from sgdom.graph import Graph, GraphFormatError
+from sgdom.graph import Graph, GraphFormatError, emit_graph
 from sgdom.reductions import InvalidSourceError, emit_provenance
 
-from conftest import all_signs, feasible
+from conftest import (
+    all_signs,
+    feasible,
+    loop_1in3_gadget,
+    loop_graph_text,
+    loop_provenance_text,
+    loop_set_gadget,
+    random_connected_graph,
+)
 
 
 class TestFormula:
@@ -163,6 +173,36 @@ class TestReductionIdentities:
         for values in all_signs(h.n):
             if feasible(h, 1, Mode.TOTAL, values):
                 assert all(values[v] == 1 for v in block)
+
+
+def _assert_matches_reference(art, graph, T, provenance):
+    assert art.graph == graph
+    assert art.T == T
+    assert art.provenance == provenance
+    assert all(art.vertex_of(label) == v for v, label in enumerate(provenance))
+    assert emit_graph(art.graph) == loop_graph_text(graph)
+    assert emit_provenance(art) == loop_provenance_text(provenance)
+
+
+class TestArrayBuilders:
+    """The array-built gadgets equal the per-edge reference builders: the
+    same graph, T, labels and text."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind, reduce", [("mds", reduce_mds), ("mtds", reduce_mtds)])
+    def test_set_reductions(self, kind, reduce, k):
+        rng = random.Random(f"{kind}-{k}")
+        for n, p in [(2, 0.0), (3, 1.0), (7, 0.3), (20, 0.2), (60, 0.05)]:
+            g = random_connected_graph(rng, n, p)
+            _assert_matches_reference(reduce(g, k), *loop_set_gadget(g, k, kind))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_1in3_reduction(self, k):
+        rng = random.Random(k)
+        for num_vars, m in [(1, 0), (3, 1), (5, 4), (12, 20)]:
+            clauses = tuple(tuple(rng.sample(range(1, num_vars + 1), 3)) for _ in range(m))
+            formula = ThreeSatFormula(num_vars, clauses)
+            _assert_matches_reference(reduce_1in3(formula, k), *loop_1in3_gadget(formula, k))
 
 
 class TestSatConstruction:
