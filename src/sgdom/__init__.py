@@ -29,12 +29,10 @@ from .graph import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     emit_graph,
     one_factorization,
     parse_graph,
     path,
-    regularize_independent_set,
 )
 from .reductions import (
     ReductionArtifact,

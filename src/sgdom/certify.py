@@ -30,7 +30,20 @@ class Mode(enum.Enum):
         return self.value
 
 
+# The two helpers below are the only place that decides which neighbourhood a
+# mode sums over: N[v] in closed mode, N(v) in total mode.
+
+def _mode_sums(g: Graph, x: np.ndarray, mode: Mode) -> np.ndarray:
+    """The sum of x over N_mode(v) for every vertex v. x is indexed by vertex
+    along axis 0, so each column of a 2-D x gets its own sums."""
+    sums = g.neighbor_sums(x)
+    if mode is Mode.CLOSED:
+        sums += x
+    return sums
+
+
 def _mode_neighborhood(g: Graph, v: int, mode: Mode) -> tuple[int, ...]:
+    """N_mode(v) as a sorted tuple."""
     if mode is Mode.CLOSED:
         return g.closed_neighbors(v)
     return g.neighbors(v)
@@ -82,10 +95,7 @@ def verify(g: Graph, k: int, mode: Mode, f: SignFunction) -> VerifyReport:
         raise ValueError("k must be a positive integer")
     if len(f) != g.n:
         raise ValueError(f"certificate length {len(f)} != graph order {g.n}")
-    x = np.array(f.values, dtype=np.int64)
-    sums = g.neighbor_sums(x)
-    if mode is Mode.CLOSED:
-        sums += x
+    sums = _mode_sums(g, np.array(f.values, dtype=np.int64), mode)
     violations = frozenset(np.flatnonzero(sums < k).tolist())
     min_slack = int(sums.min()) - k if g.n else None
     return VerifyReport(not violations, tuple(sums.tolist()), violations, min_slack)
@@ -94,8 +104,7 @@ def verify(g: Graph, k: int, mode: Mode, f: SignFunction) -> VerifyReport:
 @dataclass(frozen=True)
 class MinimalityReport:
     minimal: bool
-    witnesses: dict[int, int]  # +1 vertex -> a neighbor with tight closed sum
-    offending: int | None      # a +1 vertex with no tight closed neighbor
+    offending: int | None  # the first +1 vertex with no tight closed neighbor
 
 
 def is_minimal_skdf(g: Graph, k: int, f: SignFunction) -> MinimalityReport:
@@ -109,19 +118,13 @@ def is_minimal_skdf(g: Graph, k: int, f: SignFunction) -> MinimalityReport:
     report = verify(g, k, Mode.CLOSED, f)
     if not report.feasible:
         raise ValueError("minimality is only defined for feasible SkDFs")
-    sums = report.per_vertex_sum
-    tight = [s in (k, k + 1) for s in sums]
-    witnesses: dict[int, int] = {}
-    for v in range(g.n):
-        if f[v] != 1:
-            continue
-        for u in g.closed_neighbors(v):
-            if tight[u]:
-                witnesses[v] = u
-                break
-        else:
-            return MinimalityReport(False, witnesses, v)
-    return MinimalityReport(True, witnesses, None)
+    sums = np.array(report.per_vertex_sum, dtype=np.int64)
+    tight = ((sums == k) | (sums == k + 1)).astype(np.int64)
+    plus = np.array(f.values, dtype=np.int64) == 1
+    offending = np.flatnonzero(plus & (_mode_sums(g, tight, Mode.CLOSED) == 0))
+    if offending.size:
+        return MinimalityReport(False, int(offending[0]))
+    return MinimalityReport(True, None)
 
 
 def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
@@ -129,16 +132,14 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
 
     If |N_mode(v)| is k or k+1, a single -1 in it caps v's sum below k, so
     every vertex of N_mode(v) is forced (N[v] in closed mode, N(v) in total
-    mode).
+    mode). u lies in N_mode(v) iff v lies in N_mode(u), so u is forced iff
+    its own neighbourhood holds such a centre v.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    forced: set[int] = set()
-    for v in range(g.n):
-        nbhd = _mode_neighborhood(g, v, mode)
-        if len(nbhd) in (k, k + 1):
-            forced.update(nbhd)
-    return frozenset(forced)
+    size = _mode_sums(g, np.ones(g.n, dtype=np.int64), mode)
+    centres = ((size == k) | (size == k + 1)).astype(np.int64)
+    return frozenset(np.flatnonzero(_mode_sums(g, centres, mode) > 0).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .certify import (
 )
 from .config import DEFAULT_MAX_BRUTE_N, DEFAULT_NODE_BUDGET
 from .extremal import ExtremalSpec, build_extremal
-from .graph import GraphFormatError, emit_graph, one_factorization, parse_graph
+from .graph import _MAX_COUNT, GraphFormatError, emit_graph, one_factorization, parse_graph
 from .reductions import (
     ONE_IN_THREE,
     emit_provenance,
@@ -198,16 +198,26 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _check_gen_size(vertices: int, edges: int) -> None:
+    """Refuse, before anything is built, a generated graph that the readers
+    would refuse: each count is capped like a header count."""
+    if max(vertices, edges) > _MAX_COUNT:
+        raise ValueError(
+            f"output too large: {vertices} vertices, {edges} edges (limit {_MAX_COUNT} each)"
+        )
+
+
 def _cmd_gen_extremal(args) -> int:
     spec = ExtremalSpec(args.k, args.delta, args.Delta, args.t, Mode(args.mode))
+    _check_gen_size(spec.order, spec.size)
     g, cert = build_extremal(spec)
     bound = lower_bound(DegreeProfile(g.n, spec.delta, spec.Delta, spec.k), spec.mode)
     report = [
         f"a = {spec.a}",
         f"b = {spec.b}",
         f"t = {spec.t}",
-        f"|P| = {len(spec.p_vertices)}",
-        f"|Q| = {len(spec.q_vertices)}",
+        f"|P| = {spec.t * spec.a}",
+        f"|Q| = {spec.t * spec.b}",
         f"bound = {bound.numerator}/{bound.denominator}",
         f"weight = {cert.weight}",
     ]
@@ -225,7 +235,9 @@ def _cmd_gen_extremal(args) -> int:
 
 
 def _cmd_gen_onefactor(args) -> int:
-    factors = one_factorization(args.n)
+    n = args.n
+    _check_gen_size(n, n * (n - 1) // 2 if n > 0 else 0)
+    factors = one_factorization(n)
     for i, factor in enumerate(factors, start=1):
         pairs = " ".join(f"({u + 1},{v + 1})" for u, v in sorted(factor.pairs))
         sys.stdout.write(f"round {i}: {pairs}\n")

@@ -63,6 +63,14 @@ class ExtremalSpec:
         return self.t * (self.a + self.b)
 
     @property
+    def size(self) -> int:
+        """The edge count: t*a*b block edges, then Delta-b rounds of a perfect
+        matching on the t*a p-vertices and delta-a rounds on the t*b
+        q-vertices."""
+        a, b, t = self.a, self.b, self.t
+        return t * a * b + (t * a * (self.Delta - b) + t * b * (self.delta - a)) // 2
+
+    @property
     def p_vertices(self) -> tuple[int, ...]:
         a, b = self.a, self.b
         return tuple(
@@ -104,6 +112,7 @@ def build_extremal(spec: ExtremalSpec) -> tuple[Graph, SignFunction]:
         for i in range(r):
             edges.extend((side[u], side[v]) for u, v in _circle_factor(len(side), i))
     g = Graph(spec.order, edges)
+    assert g.m == spec.size
     cert = SignFunction.from_plus_set(g.n, spec.p_vertices)
     profile = DegreeProfile(g.n, spec.delta, spec.Delta, spec.k)
     assert cert.weight == lower_bound(profile, spec.mode)

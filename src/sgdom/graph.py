@@ -38,7 +38,11 @@ class Graph:
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
         pairs, cut = _edge_array(edges)
-        bad = _first_bad_edge(n, pairs)
+        # The doubled edge list is sorted once, for the repeat check and the rows.
+        src, dst = pairs.ravel(), pairs[:, ::-1].ravel()
+        order = np.lexsort((dst, src))
+        nbr = dst[order]
+        bad = _first_bad_edge(n, pairs, src[order], nbr, order)
         if bad is not None:
             index, reason = bad
             u, v = edges[index]
@@ -50,11 +54,9 @@ class Graph:
             raise _EdgeError(message, index, reason)
         if cut is not None:
             raise ValueError(f"edge {edges[cut]!r} is not a pair of vertices")
-        src = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
         self.n = n
         self.m = len(pairs)
-        self._nbr = dst[np.lexsort((dst, src))]
+        self._nbr = nbr
         self._ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self._ptr[1:])
         self._tuples = None
@@ -81,9 +83,10 @@ class Graph:
 
     def neighbor_sums(self, x: np.ndarray) -> np.ndarray:
         """The sum of x over N(v) for every vertex v, from one cumulative sum
-        over the rows; x is indexed by vertex."""
-        csum = np.zeros(self._nbr.size + 1, dtype=x.dtype)
-        np.cumsum(x[self._nbr], out=csum[1:])
+        over the rows; x is indexed by vertex along axis 0, so each column of
+        a 2-D x is summed on its own."""
+        csum = np.zeros((self._nbr.size + 1, *x.shape[1:]), dtype=x.dtype)
+        np.cumsum(x[self._nbr], axis=0, out=csum[1:])
         return csum[self._ptr[1:]] - csum[self._ptr[:-1]]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -200,14 +203,27 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _first_bad_edge(n: int, pairs: np.ndarray) -> tuple[int, str] | None:
+def _first_bad_edge(
+    n: int, pairs: np.ndarray, src: np.ndarray, dst: np.ndarray, order: np.ndarray
+) -> tuple[int, str] | None:
     """(index, reason) of the first edge that is out of range for n
     vertices, a self-loop or a repeat of an earlier edge in either
-    orientation, checked in that order; None if every edge is good."""
+    orientation, checked in that order; None if every edge is good.
+
+    src and dst are the sorted entries of the doubled edge list, in which
+    edge i is entries 2i and 2i+1 (one per orientation), and order[j] is the
+    doubled position of sorted entry j. The sort is stable, so a run of equal
+    entries lists its edges in index order, and an entry equal to its
+    predecessor belongs to a repeat of an earlier edge (or is the second
+    entry of a self-loop, which is reported as a loop first).
+    """
     u, v = pairs[:, 0], pairs[:, 1]
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     loop = u == v
-    bad = np.flatnonzero(out | loop | _repeats(np.maximum(u, v), np.minimum(u, v)))
+    same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    repeat = np.zeros(len(pairs), dtype=bool)
+    repeat[order[1:][same] // 2] = True
+    bad = np.flatnonzero(out | loop | repeat)
     if bad.size == 0:
         return None
     i = int(bad[0])
@@ -450,13 +466,6 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; g2's vertices are relabeled by offset g1.n."""
-    off = g1.n
-    edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
-    return Graph(g1.n + g2.n, edges)
-
-
 # ---------------------------------------------------------------------------
 # 1-factorization (circle method)
 
@@ -480,29 +489,3 @@ def one_factorization(n: int) -> list[Matching]:
     if n <= 0 or n % 2 != 0:
         raise ValueError("1-factorization requires even n >= 2")
     return [Matching(frozenset(_circle_factor(n, r))) for r in range(n - 1)]
-
-
-def regularize_independent_set(g: Graph, s: Iterable[int], r: int) -> Graph:
-    """Overlay the first r 1-factors of K_{|S|} onto the independent set S.
-
-    S is taken in ascending vertex order; every vertex of S gains exactly r
-    new edges, all inside S.
-    """
-    vertices = sorted(set(s))
-    if len(vertices) % 2 != 0:
-        raise ValueError("independent set must have even size")
-    for v in vertices:
-        g._check_vertex(v)
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1:]:
-            if g.has_edge(u, v):
-                raise ValueError(f"set is not independent: edge ({u},{v}) present")
-    if not (0 <= r <= max(len(vertices) - 1, 0)):
-        raise ValueError(f"r={r} out of range for |S|={len(vertices)}")
-    if r == 0:
-        return g
-    new_edges = list(g.edges())
-    for i in range(r):
-        for a, b in _circle_factor(len(vertices), i):
-            new_edges.append((vertices[a], vertices[b]))
-    return Graph(g.n, new_edges)

@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .certify import Mode, SignFunction, is_minimal_skdf, verify
+from .certify import Mode, SignFunction, _mode_sums, is_minimal_skdf, verify
 from .graph import Graph, GraphFormatError, _read_lines
 
 MTDS = "mtds"
@@ -268,14 +268,6 @@ def reduce_1in3(formula: ThreeSatFormula, k: int) -> ReductionArtifact:
 # ---------------------------------------------------------------------------
 # Solution transforms
 
-def _check_cover(g: Graph, s: frozenset[int], total: bool) -> bool:
-    for v in range(g.n):
-        nbhd = g.neighbors(v) if total else g.closed_neighbors(v)
-        if not any(u in s for u in nbhd):
-            return False
-    return True
-
-
 def lift_solution(source, art: ReductionArtifact) -> SignFunction:
     """Carry a source-side solution to a feasible signed certificate.
 
@@ -304,13 +296,13 @@ def lift_solution(source, art: ReductionArtifact) -> SignFunction:
     s = frozenset(source)
     if not all(0 <= v < g.n for v in s):
         raise InvalidSourceError("solution contains vertices outside the source graph")
-    if not _check_cover(g, s, total=art.kind == MTDS):
+    inside = np.zeros(g.n, dtype=np.int64)
+    inside[list(s)] = 1
+    if not (_mode_sums(g, inside, art.mode) > 0).all():
         raise InvalidSourceError(f"source set is not a {'total ' if art.kind == MTDS else ''}dominating set")
-    values = [1] * art.graph.n
-    for v in range(g.n):
-        if v not in s:
-            values[v] = -1
-    return SignFunction(tuple(values))
+    values = np.ones(art.graph.n, dtype=np.int64)
+    values[:g.n] = 2 * inside - 1
+    return SignFunction(tuple(values.tolist()))
 
 
 def project_solution(f: SignFunction, art: ReductionArtifact):
@@ -343,9 +335,10 @@ def project_solution(f: SignFunction, art: ReductionArtifact):
     if not verify(art.graph, art.k, art.mode, f).feasible:
         raise InvalidSourceError("certificate is infeasible for the gadget")
     g = art.source_graph
-    s = frozenset(v for v in range(g.n) if f[v] == 1)
+    inside = (np.array(f.values[:g.n], dtype=np.int64) == 1).astype(np.int64)
+    s = frozenset(np.flatnonzero(inside).tolist())
     # Both facts are forced by feasibility: block vertices are all +1, and
     # the projected set covers the source graph.
     assert 2 * len(s) == f.weight + g.n - art.T
-    assert _check_cover(g, s, total=art.kind == MTDS)
+    assert (_mode_sums(g, inside, art.mode) > 0).all()
     return s

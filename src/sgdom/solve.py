@@ -17,6 +17,7 @@ from .certify import (
     Mode,
     SignFunction,
     _mode_neighborhood,
+    _mode_sums,
     forced_plus_vertices,
     is_minimal_skdf,
     verify,
@@ -57,13 +58,9 @@ class SolveResult:
 
 
 def _mode_matrix(g: Graph, mode: Mode) -> np.ndarray:
-    """Row v marks the vertices of N[v] (closed) or N(v) (total)."""
-    m = np.zeros((g.n, g.n), dtype=np.int16)
-    for v in range(g.n):
-        m[v, list(g.neighbors(v))] = 1
-        if mode is Mode.CLOSED:
-            m[v, v] = 1
-    return m
+    """Row v marks the vertices of N[v] (closed) or N(v) (total): summing
+    the columns of the identity over N_mode(v) gives its indicator."""
+    return _mode_sums(g, np.eye(g.n, dtype=np.int16), mode)
 
 
 def _part_table(m: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,13 +268,10 @@ def bnb_sigma(
     n = g.n
     if n == 0:
         return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
-    min_deg = g.min_degree
-    if (mode is Mode.CLOSED and min_deg < k - 1) or (
-        mode is Mode.TOTAL and min_deg < k
-    ):
-        return SolveResult(INFEASIBLE, None, None, 0)
-
     nbhd = [_mode_neighborhood(g, v, mode) for v in range(n)]
+    # A neighbourhood of fewer than k vertices cannot sum to k.
+    if min(len(a) for a in nbhd) < k:
+        return SolveResult(INFEASIBLE, None, None, 0)
     thr = [k if (len(nbhd[v]) - k) % 2 == 0 else k + 1 for v in range(n)]
 
     assign = [0] * n
@@ -326,8 +320,8 @@ def bnb_sigma(
         return True
 
     # Root propagation from the forced vertices. A +1 leaves every slack as
-    # it was, and the degree check above makes each slack nonnegative, so
-    # this cannot fail.
+    # it was, and the size check above makes each slack nonnegative, so this
+    # cannot fail.
     propagate([(v, 1) for v in forced_plus_vertices(g, k, mode)])
 
     order = sorted(range(n), key=lambda v: (g.degree(v), v))
@@ -401,12 +395,15 @@ def bnb_sigma(
 # ---------------------------------------------------------------------------
 # Baseline solvers for reduction cross-validation
 
-def _min_cover(masks: list[int], n: int, max_n: int) -> int:
+def _min_cover(g: Graph, mode: Mode, max_n: int) -> int:
+    """Fewest vertices v whose neighbourhoods N_mode(v) together cover V."""
+    n = g.n
     if n > max_n:
         raise CapExceededError(f"subset enumeration capped at n={max_n}")
-    full = (1 << n) - 1
     if n == 0:
         return 0
+    full = (1 << n) - 1
+    masks = [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in _mode_matrix(g, mode)]
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             covered = 0
@@ -419,18 +416,14 @@ def _min_cover(masks: list[int], n: int, max_n: int) -> int:
 
 def gamma(g: Graph, max_n: int = config.DEFAULT_MAX_SUBSET_N) -> int:
     """Domination number by subset enumeration in increasing size."""
-    masks = [
-        (1 << v) | sum(1 << u for u in g.neighbors(v)) for v in range(g.n)
-    ]
-    return _min_cover(masks, g.n, max_n)
+    return _min_cover(g, Mode.CLOSED, max_n)
 
 
 def gamma_t(g: Graph, max_n: int = config.DEFAULT_MAX_SUBSET_N) -> int:
     """Total domination number by subset enumeration in increasing size."""
     if g.n > 0 and g.min_degree == 0:
         raise InfeasibleError("total domination undefined with isolated vertices")
-    masks = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
-    return _min_cover(masks, g.n, max_n)
+    return _min_cover(g, Mode.TOTAL, max_n)
 
 
 def one_in_three_sat(formula, max_vars: int = config.DEFAULT_MAX_SAT_VARS):

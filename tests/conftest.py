@@ -13,14 +13,37 @@ import pytest
 from sgdom import Graph, Mode, SignFunction
 
 
+def nbhd(g, v, mode):
+    """N[v] (closed mode) or N(v) (total mode) as a list, from g.neighbors."""
+    return list(g.neighbors(v)) + ([v] if mode is Mode.CLOSED else [])
+
+
 def nbhd_sums(g, mode, values):
-    sums = []
+    return [sum(values[u] for u in nbhd(g, v, mode)) for v in range(g.n)]
+
+
+def mode_rows(g, mode):
+    """Row v is the 0/1 indicator of N_mode(v)."""
+    return [[int(u in nbhd(g, v, mode)) for u in range(g.n)] for v in range(g.n)]
+
+
+def forced_reference(g, k, mode):
+    """The union of N_mode(v) over the vertices v with |N_mode(v)| in {k, k+1}."""
+    forced = set()
     for v in range(g.n):
-        total = sum(values[u] for u in g.neighbors(v))
-        if mode is Mode.CLOSED:
-            total += values[v]
-        sums.append(total)
-    return sums
+        if len(nbhd(g, v, mode)) in (k, k + 1):
+            forced.update(nbhd(g, v, mode))
+    return frozenset(forced)
+
+
+def first_offending(g, k, values):
+    """The first +1 vertex of a feasible SkDF with no closed neighbour whose
+    closed sum is k or k+1, or None."""
+    sums = nbhd_sums(g, Mode.CLOSED, values)
+    for v in range(g.n):
+        if values[v] == 1 and all(sums[u] not in (k, k + 1) for u in nbhd(g, v, Mode.CLOSED)):
+            return v
+    return None
 
 
 def reference_graph(n, edges):

@@ -17,13 +17,22 @@ from sgdom import (
 )
 from sgdom.graph import GraphFormatError
 
-from conftest import all_signs, definitionally_minimal, feasible, nbhd_sums, random_graph
+from conftest import (
+    all_signs,
+    definitionally_minimal,
+    feasible,
+    first_offending,
+    forced_reference,
+    nbhd_sums,
+    random_graph,
+)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(n=st.integers(0, 12), data=st.data())
 def test_verify_matches_reference_sums(n, data):
-    """verify's array sums equal the per-vertex reference in both modes, on
+    """verify's array sums, the forced vertices and the first offending
+    vertex of minimality equal the per-vertex references in both modes, on
     graphs with isolated vertices and on the empty graph."""
     vertex = st.integers(0, max(n - 1, 0))
     edges = data.draw(
@@ -43,6 +52,10 @@ def test_verify_matches_reference_sums(n, data):
         assert report.violations == frozenset(v for v in range(n) if sums[v] < k)
         assert report.min_slack == (min(sums) - k if n else None)
         assert report.feasible == (not report.violations)
+        assert forced_plus_vertices(g, k, mode) == forced_reference(g, k, mode)
+        if mode is Mode.CLOSED and report.feasible:
+            f = SignFunction(tuple(values))
+            assert is_minimal_skdf(g, k, f).offending == first_offending(g, k, values)
 
 
 class TestVerify:
@@ -124,8 +137,7 @@ class TestMinimality:
     def test_triangle_minimal(self):
         report = is_minimal_skdf(complete(3), 1, SignFunction((1, 1, -1)))
         assert report.minimal
-        # every +1 vertex witnesses itself: all closed sums equal 1
-        assert set(report.witnesses) == {0, 1}
+        assert report.offending is None
 
     def test_triangle_all_plus_not_minimal(self):
         report = is_minimal_skdf(complete(3), 1, SignFunction((1, 1, 1)))
@@ -145,8 +157,9 @@ class TestMinimality:
                 for values in all_signs(n):
                     if not feasible(g, k, Mode.CLOSED, values):
                         continue
-                    got = is_minimal_skdf(g, k, SignFunction(values)).minimal
-                    assert got == definitionally_minimal(g, k, values)
+                    report = is_minimal_skdf(g, k, SignFunction(values))
+                    assert report.minimal == definitionally_minimal(g, k, values)
+                    assert report.offending == first_offending(g, k, values)
 
 
 class TestForcedPlus:
@@ -171,6 +184,7 @@ class TestForcedPlus:
             for k in (1, 2):
                 for mode in (Mode.CLOSED, Mode.TOTAL):
                     forced = forced_plus_vertices(g, k, mode)
+                    assert forced == forced_reference(g, k, mode)
                     for values in all_signs(n):
                         if feasible(g, k, mode, values):
                             assert all(values[v] == 1 for v in forced)

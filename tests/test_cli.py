@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -182,6 +183,26 @@ class TestGen:
             ["gen", "extremal", "--k", "1", "--delta", "2", "--Delta", "3", "--t", "3"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "kind,size_flag,big,small",
+        [
+            (["onefactor"], "--n", "4000", "6"),
+            (["extremal", "--k", "1", "--delta", "2", "--Delta", "3"], "--t", "10000000", "6"),
+        ],
+        ids=["onefactor", "extremal"],
+    )
+    def test_output_beyond_the_reader_cap_is_refused(self, kind, size_flag, big, small, capsys):
+        # 4000 vertices make 7,998,000 pairs, and t = 10^7 makes 3*10^7
+        # vertices: both above the 2^22 count the readers accept. The counts
+        # are worked out before anything is built, so the refusal is at once.
+        start = time.perf_counter()
+        assert main(["gen", *kind, size_flag, big]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large" in err
+        assert main(["gen", *kind, size_flag, small]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReduce:

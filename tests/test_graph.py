@@ -13,7 +13,6 @@ from sgdom import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     emit_certificate,
     emit_graph,
     one_factorization,
@@ -21,7 +20,6 @@ from sgdom import (
     parse_cnf,
     parse_graph,
     path,
-    regularize_independent_set,
 )
 
 from sgdom.certify import _parse_certificate_lines
@@ -428,11 +426,6 @@ class TestBuilders:
         assert g.n == 3 and g.m == 2
         assert g.degree(2) == 2
 
-    def test_disjoint_union(self):
-        g = disjoint_union(complete(3), complete(3))
-        assert g.n == 6 and g.m == 6
-        assert not g.has_edge(0, 3)
-
     def test_cycle_requires_three_vertices(self):
         with pytest.raises(ValueError):
             cycle(2)
@@ -461,43 +454,6 @@ class TestOneFactorization:
 
     def test_deterministic(self):
         assert one_factorization(8) == one_factorization(8)
-
-
-class TestRegularize:
-    def test_zero_factors_is_identity(self):
-        g = complete_bipartite(2, 2)
-        assert regularize_independent_set(g, [0, 1], 0) == g
-
-    def test_all_factors_forms_clique(self):
-        g = Graph(4)
-        h = regularize_independent_set(g, [0, 1, 2, 3], 3)
-        assert h == complete(4)
-
-    def test_added_subgraph_is_regular(self):
-        g = Graph(8)
-        h = regularize_independent_set(g, range(8), 2)
-        assert h.m == 8
-        assert all(h.degree(v) == 2 for v in range(8))
-
-    def test_degrees_rise_by_r_and_edges_by_half_rs(self):
-        g = complete_bipartite(4, 2)
-        s = [0, 1, 2, 3]
-        h = regularize_independent_set(g, s, 3)
-        assert h.m == g.m + 3 * len(s) // 2
-        for v in s:
-            assert h.degree(v) == g.degree(v) + 3
-
-    def test_rejects_dependent_set(self):
-        with pytest.raises(ValueError):
-            regularize_independent_set(path(4), [0, 1], 1)
-
-    def test_rejects_odd_set(self):
-        with pytest.raises(ValueError):
-            regularize_independent_set(Graph(3), [0, 1, 2], 1)
-
-    def test_rejects_too_many_factors(self):
-        with pytest.raises(ValueError):
-            regularize_independent_set(Graph(4), [0, 1, 2, 3], 4)
 
 
 class TestMatching:

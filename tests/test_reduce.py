@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -33,6 +34,7 @@ from conftest import (
     loop_graph_text,
     loop_provenance_text,
     loop_set_gadget,
+    nbhd,
     random_connected_graph,
 )
 
@@ -299,6 +301,20 @@ class TestLiftProject:
         art = reduce_mtds(path(3), 1)
         with pytest.raises(InvalidSourceError):
             lift_solution({0}, art)
+        # Every subset of a small source graph that leaves exactly one vertex
+        # uncovered (found by a plain loop) is refused, in both modes.
+        g = random_connected_graph(random.Random(5), 7, 0.3)
+        for reduce, mode in ((reduce_mds, Mode.CLOSED), (reduce_mtds, Mode.TOTAL)):
+            art = reduce(g, 1)
+            tried = 0
+            for size in range(g.n + 1):
+                for s in combinations(range(g.n), size):
+                    uncovered = [v for v in range(g.n) if not set(nbhd(g, v, mode)) & set(s)]
+                    if len(uncovered) == 1:
+                        tried += 1
+                        with pytest.raises(InvalidSourceError):
+                            lift_solution(s, art)
+            assert tried > 0
 
     def test_lift_rejects_bad_assignment(self):
         art = reduce_1in3(ThreeSatFormula(3, ((1, 2, 3),)), 1)

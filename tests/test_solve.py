@@ -25,7 +25,7 @@ from sgdom import solve
 from sgdom.bounds import indicator
 from sgdom.solve import CAP_EXCEEDED, INFEASIBLE, OPTIMAL, CapExceededError, InfeasibleError
 
-from conftest import exhaustive_sigma, exhaustive_upper, first_optimum, random_graph
+from conftest import exhaustive_sigma, exhaustive_upper, first_optimum, mode_rows, random_graph
 
 
 class TestBruteForceSigma:
@@ -54,6 +54,7 @@ class TestBruteForceSigma:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             for k in (1, 2):
                 for mode in (Mode.CLOSED, Mode.TOTAL):
+                    assert solve._mode_matrix(g, mode).tolist() == mode_rows(g, mode)
                     result = brute_force_sigma(g, k, mode)
                     expected = exhaustive_sigma(g, k, mode)
                     if expected is None:
@@ -75,6 +76,8 @@ class TestBruteForceSigma:
     def test_empty_graph(self):
         result = brute_force_sigma(Graph(0), 1, Mode.CLOSED)
         assert result.status == OPTIMAL and result.value == 0
+        for mode in Mode:
+            assert solve._mode_matrix(Graph(0), mode).shape == (0, 0)
 
     def test_cap(self):
         result = brute_force_sigma(complete(6), 1, Mode.CLOSED, max_n=5)
