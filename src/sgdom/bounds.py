@@ -70,16 +70,19 @@ def lower_bound(p: DegreeProfile, mode: Mode) -> BoundValue:
     return Fraction(p.n * num, den)
 
 
-def effective_bound(p: DegreeProfile, mode: Mode) -> int:
-    """Smallest integer >= lower_bound with the parity of the order.
+def parity_ceil(x, n: int) -> int:
+    """Least integer >= x with the parity of n.
 
-    Certificate weights satisfy w(f) == n (mod 2), so this refinement is free.
+    Certificate weights satisfy w(f) == n (mod 2), so rounding any lower
+    bound on them this way is free.
     """
-    b = lower_bound(p, mode)
-    w = math.ceil(b)
-    if (w - p.n) % 2 != 0:
-        w += 1
-    return w
+    w = math.ceil(x)
+    return w + (w - n) % 2
+
+
+def effective_bound(p: DegreeProfile, mode: Mode) -> int:
+    """Smallest integer >= lower_bound with the parity of the order."""
+    return parity_ceil(lower_bound(p, mode), p.n)
 
 
 def nearly_regular_bound(n: int, r: int, k: int, mode: Mode) -> BoundValue:

@@ -10,14 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    GraphFormatError,
-    _int_tokens,
-    _read_canonical,
-    _read_lines,
-    _repeats,
-)
+from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _read_body, _repeats
 
 
 class Mode(enum.Enum):
@@ -146,76 +139,37 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
 # Certificate text format
 
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
-_SIGN_TEXT = {1: "+1", -1: "-1"}
-# The value lines `emit_certificate` writes; the sign is the third byte from
-# the end of each line.
+# The value lines `emit_certificate` writes.
 _VALUE_LINES = re.compile(rb"(?:v [1-9][0-9]{0,6} [+-]1\n)*")
 
 
 def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
     """Parse `s sgd-cert <n> <k> <mode>` plus n `v <i> <+1|-1>` lines.
 
-    Returns (k, mode, sign function). Text in the form `emit_certificate`
-    writes, with the indices 1..n in order, is read by one pattern match and
-    array arithmetic. Any other text, and any text with an error, goes
-    through the per-line reader, which gives the same result or names the
-    first offending line.
+    Returns (k, mode, sign function). The indices of all lines are checked
+    at once; every error names the first offending line.
     """
-    fast = _read_canonical(text, "s", "sgd-cert", (int, int, Mode), _VALUE_LINES)
-    if fast is not None:
-        (n, k, mode), chars, numbers = fast
-        if np.array_equal(numbers[::2], np.arange(1, n + 1)):
-            signs = chars[np.flatnonzero(chars == ord("\n")) - 2]
-            values = np.where(signs == ord("+"), 1, -1)
-            return k, mode, SignFunction(tuple(values.tolist()))
-    return _parse_certificate_lines(text)
-
-
-def _parse_certificate_lines(text: str | bytes) -> tuple[int, Mode, SignFunction]:
-    """The per-line path of `parse_certificate`.
-
-    The line loop checks only each line's shape; the indices are converted
-    and checked at once. Every error names the first offending line.
-    """
-    lines = _read_lines(text, "s", "sgd-cert", int, int, Mode)
-    _, (n, k, mode) = next(lines)
-    tokens: list[str] = []
-    signs: list[str] = []
-    linenos: list[int] = []
-    stop = None  # raised once the indices on earlier lines are checked
-    try:
-        for lineno, fields in lines:
-            if fields[0] != "v":
-                raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
-            if len(fields) != 3 or fields[2] not in _SIGNS:
-                raise GraphFormatError(f"malformed value line {' '.join(fields)!r}", lineno)
-            tokens.append(fields[1])
-            signs.append(fields[2])
-            linenos.append(lineno)
-    except GraphFormatError as exc:
-        stop = exc
-    index, bad = _int_tokens(tokens)
-    if bad is not None:
-        line = f"v {tokens[bad]} {signs[bad]}"
-        stop = GraphFormatError(f"malformed value line {line!r}", linenos[bad])
-    index -= 1
+    (_, (n, k, mode)), rows, linenos, stop = _read_body(
+        text, "s", "sgd-cert", (int, int, Mode), "v", (int, _SIGNS.__getitem__), _VALUE_LINES,
+        lambda fields: f"malformed value line {' '.join(fields)!r}",
+    )
+    index = rows[:, 0] - 1
     out = (index < 0) | (index >= n)
     wrong = np.flatnonzero(out | _repeats(index))
     if wrong.size:
         i = int(wrong[0])
         problem = "out of range" if out[i] else "assigned twice"
-        raise GraphFormatError(f"vertex {int(tokens[i])} {problem}", linenos[i])
+        vertex = int(_line_fields(text, linenos[i])[1])
+        raise GraphFormatError(f"vertex {vertex} {problem}", linenos[i])
     if stop is not None:
         raise stop
     if index.size != n:
         raise GraphFormatError(f"expected {n} vertex values, found {index.size}")
     values = np.empty(n, dtype=np.int64)
-    values[index] = np.fromiter(map(_SIGNS.__getitem__, signs), dtype=np.int64, count=n)
+    values[index] = rows[:, 1]
     return k, mode, SignFunction(tuple(values.tolist()))
 
 
 def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:
-    lines = [f"s sgd-cert {len(f)} {k} {mode.value}\n"]
-    lines.extend([f"v {i} {_SIGN_TEXT[x]}\n" for i, x in enumerate(f.values, start=1)])
-    return "".join(lines)
-
+    rows = np.column_stack((np.arange(1, len(f) + 1), np.array(f.values, dtype=np.int64)))
+    return _emit_rows(f"s sgd-cert {len(f)} {k} {mode.value}\n", "v %d %+d\n", rows)

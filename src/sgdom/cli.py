@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import DegreeProfile, bound_terms, effective_bound, lower_bound
+from .bounds import DegreeProfile, bound_terms, effective_bound, format_bound, lower_bound
 from .certify import (
     Mode,
     emit_certificate,
@@ -22,7 +22,7 @@ from .certify import (
 )
 from .config import DEFAULT_MAX_BRUTE_N, DEFAULT_NODE_BUDGET
 from .extremal import ExtremalSpec, build_extremal
-from .graph import _MAX_COUNT, GraphFormatError, emit_graph, one_factorization, parse_graph
+from .graph import _MAX_COUNT, GraphFormatError, _factor_rounds, emit_graph, parse_graph
 from .reductions import (
     ONE_IN_THREE,
     emit_provenance,
@@ -218,7 +218,7 @@ def _cmd_gen_extremal(args) -> int:
         f"t = {spec.t}",
         f"|P| = {spec.t * spec.a}",
         f"|Q| = {spec.t * spec.b}",
-        f"bound = {bound.numerator}/{bound.denominator}",
+        f"bound = {format_bound(bound)}",
         f"weight = {cert.weight}",
     ]
     if args.output:
@@ -237,10 +237,9 @@ def _cmd_gen_extremal(args) -> int:
 def _cmd_gen_onefactor(args) -> int:
     n = args.n
     _check_gen_size(n, n * (n - 1) // 2 if n > 0 else 0)
-    factors = one_factorization(n)
-    for i, factor in enumerate(factors, start=1):
-        pairs = " ".join(f"({u + 1},{v + 1})" for u, v in sorted(factor.pairs))
-        sys.stdout.write(f"round {i}: {pairs}\n")
+    for i, pairs in enumerate(_factor_rounds(n), start=1):
+        text = " ".join(f"({u + 1},{v + 1})" for u, v in pairs)
+        sys.stdout.write(f"round {i}: {text}\n")
     return EXIT_OK
 
 

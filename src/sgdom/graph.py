@@ -309,126 +309,137 @@ def _read_lines(
         raise GraphFormatError("missing header")
 
 
-def _int_tokens(tokens: list[str]) -> tuple[np.ndarray, int | None]:
-    """The tokens read by Python `int` (so `+1`, `1_0` and non-ASCII digits
-    count) as an int64 array, up to the first token that is not an integer,
-    and that token's index (None if every token is one). A value beyond
-    int64 becomes _OUT_OF_RANGE."""
-    values: list[int] = []
-    bad = None
-    try:
-        values.extend(map(int, tokens))
-    except ValueError:
-        bad = len(values)  # extend keeps the values read before the bad token
-    return _int64_array(values), bad
+def _read_body(text, tag, magic, header, line_tag, columns, canonical, malformed):
+    """The one record reader of the graph, certificate and CNF formats.
+
+    The header is read by `_read_lines`, which raises its errors. A body line
+    is `line_tag` (if not None), then one field per converter in `columns`,
+    each giving an integer. Returns the header's (lineno, values); an
+    (r, len(columns)) int64 array, one row per body line, a value beyond
+    int64 stored as _OUT_OF_RANGE; the line number of each row; and `stop`,
+    the error of the first line whose tag, field count or fields are wrong
+    (None if there is none; the rows end before it), worded by
+    `malformed(fields)`. The caller checks the rows' values, and re-reads an
+    offending row's fields with `_line_fields`.
+
+    Text in exactly the form `canonical` describes is tokenised by a pattern
+    match and array arithmetic, any other text line by line, to the same
+    result.
+    """
+    return _canonical_rows(text, tag, magic, header, len(columns), canonical) or _line_rows(
+        text, tag, magic, header, line_tag, columns, malformed
+    )
 
 
-# The exact form the emitters write: the header first, as printable ASCII
-# tokens separated by single spaces, then only body lines. A vertex or index
-# has at most 7 digits, as the counts are at most _MAX_COUNT.
+# The canonical form, in which the emitters write: the header first, as
+# printable ASCII tokens separated by single spaces, then only body lines. A
+# vertex or index has at most 7 digits, as the counts are at most _MAX_COUNT.
 _HEADER_LINE = re.compile(rb"[!-~]+(?: [!-~]+)*\n")
 _EDGE_LINES = re.compile(rb"(?:e [1-9][0-9]{0,6} [1-9][0-9]{0,6}\n)*")
 
 
-def _read_canonical(
-    text: str | bytes, tag: str, magic: str, header: tuple, body: re.Pattern
-) -> tuple[list, np.ndarray, np.ndarray] | None:
-    """The fast lane of the line readers, for text in exactly the form the
-    emitters write: the header on the first line, then lines that the
-    compiled bytes pattern `body` matches in full.
-
-    The header is read by `_read_lines`, so its rules and count cap hold.
-    Returns the header values, the body as a uint8 array and every run of
-    ASCII digits in the body as an int64 array, in order. Returns None for
-    text in any other form or with a refused header; the caller then runs its
-    per-line path, which alone reports errors.
-    """
+def _canonical_rows(text, tag, magic, header, width, body):
+    """The canonical lane of `_read_body`: the header on the first line,
+    then lines that the compiled bytes pattern `body` matches in full, row i
+    being the width digit runs on line i + 2. None for text in any other
+    form."""
     if isinstance(text, str):
-        if not text.isascii():
-            return None
-        text = text.encode("ascii")
+        text = text.encode("utf-8")  # the patterns match ASCII bytes only
     head = _HEADER_LINE.match(text)
-    if head is None or body.fullmatch(text, head.end()) is None:
+    # A first line that is not the header, such as a comment, is left to the
+    # per-line lane; the header's errors are then the same in both lanes.
+    if head is None or head[0].split()[0] != tag.encode():
         return None
-    try:
-        _, values = next(_read_lines(head.group(), tag, magic, *header))
-    except GraphFormatError:
+    if body.fullmatch(text, head.end()) is None:
         return None
-    chars = np.frombuffer(text, dtype=np.uint8, offset=head.end())
-    return values, chars, _digit_runs(chars)
+    first = next(_read_lines(head[0], tag, magic, *header))
+    # The body starts at the header's newline, so each digit run has a byte
+    # before it for its sign.
+    chars = np.frombuffer(text, dtype=np.uint8, offset=head.end() - 1)
+    rows = _digit_runs(chars).reshape(-1, width)
+    return first, rows, range(2, len(rows) + 2), None
 
 
 def _digit_runs(chars: np.ndarray) -> np.ndarray:
-    """Each maximal run of ASCII digits in chars (at most 7 digits long) as
-    a decimal int64, in order."""
+    """Each maximal run of ASCII digits in chars[1:] (at most 7 digits long)
+    as a decimal int64, in order, negated when a `-` comes before it."""
     at = np.flatnonzero(chars - ord("0") < 10)  # uint8: bytes below '0' wrap
     if at.size == 0:
         return np.zeros(0, dtype=np.int64)
     first = np.flatnonzero(np.diff(at, prepend=-2) != 1)
     last = np.append(first[1:], at.size) - 1
     place = np.repeat(at[last], last - first + 1) - at
-    return np.add.reduceat((chars[at] - ord("0")) * 10**place, first)
+    runs = np.add.reduceat((chars[at] - ord("0")) * 10**place, first)
+    runs[chars[at[first] - 1] == ord("-")] *= -1
+    return runs
+
+
+def _line_rows(text, tag, magic, header, line_tag, columns, malformed):
+    """The per-line lane of `_read_body`. The line loop checks each line's
+    tag and field count; each column of fields is then converted by one
+    `map`, up to the first line with a field that does not convert."""
+    lines = _read_lines(text, tag, magic, *header)
+    first = next(lines)
+    skip = line_tag is not None
+    width = skip + len(columns)
+    tokens: list[str] = []  # the fields of all lines, one after another
+    linenos: list[int] = []
+    stop = None
+    try:
+        for lineno, fields in lines:
+            if skip and fields[0] != line_tag:
+                raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
+            if len(fields) != width:
+                raise GraphFormatError(malformed(fields), lineno)
+            tokens += fields
+            linenos.append(lineno)
+    except GraphFormatError as exc:  # a duplicate header, too
+        stop = exc
+    cut = len(linenos)
+    converted = []
+    for j, convert in enumerate(columns, start=skip):
+        values: list[int] = []
+        try:
+            values.extend(map(convert, tokens[j:cut * width:width]))
+        except (ValueError, KeyError):
+            cut = len(values)  # extend keeps the values read before the bad field
+        converted.append(values)
+    if cut < len(linenos):
+        stop = GraphFormatError(malformed(tokens[cut * width:(cut + 1) * width]), linenos[cut])
+    rows = np.stack([_int64_array(values[:cut]) for values in converted], axis=1)
+    return first, rows, linenos, stop
+
+
+def _line_fields(text: str | bytes, lineno: int) -> list[str]:
+    """The fields of line `lineno` of text, numbered as `_read_lines`
+    numbers them: the original tokens of an offending row, for its error."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return text.splitlines()[lineno - 1].split()
 
 
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the `p sgd <n> <m>` edge-list format into a Graph.
 
-    Text in the form `emit_graph` writes is read by one pattern match and
-    array arithmetic. Any other text, and any text with an error, goes
-    through the per-line reader, which gives the same Graph or names the
-    first offending line.
+    The vertices of all edges are checked at once by Graph; every error
+    names the first offending line.
     """
-    fast = _read_canonical(text, "p", "sgd", (int, int), _EDGE_LINES)
-    if fast is not None:
-        (n, m), _, numbers = fast
-        try:
-            g = Graph(n, numbers.reshape(-1, 2) - 1)
-        except _EdgeError:
-            pass
-        else:
-            if g.m == m:
-                return g
-    return _parse_graph_lines(text)
-
-
-def _parse_graph_lines(text: str | bytes) -> Graph:
-    """The per-line path of `parse_graph`.
-
-    The line loop checks only each line's shape; the vertices of all edges
-    are converted and checked at once by Graph. Every error names the first
-    offending line.
-    """
-    lines = _read_lines(text, "p", "sgd", int, int)
-    _, (n, m) = next(lines)
-    tokens: list[str] = []
-    linenos: list[int] = []
-    stop = None  # raised once the edges on earlier lines are checked
+    (_, (n, m)), rows, linenos, stop = _read_body(
+        text, "p", "sgd", (int, int), "e", (int, int), _EDGE_LINES,
+        lambda fields: f"malformed edge line {' '.join(fields)!r}",
+    )
     try:
-        for lineno, fields in lines:
-            if fields[0] != "e":
-                raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
-            if len(fields) != 3:
-                raise GraphFormatError(f"malformed edge line {' '.join(fields)!r}", lineno)
-            tokens += fields[1:]
-            linenos.append(lineno)
-    except GraphFormatError as exc:
-        stop = exc
-    values, bad = _int_tokens(tokens)
-    if bad is not None:
-        i = bad // 2
-        line = " ".join(["e", *tokens[2 * i:2 * i + 2]])
-        stop = GraphFormatError(f"malformed edge line {line!r}", linenos[i])
-    try:
-        g = Graph(n, values[:len(values) // 2 * 2].reshape(-1, 2) - 1)
+        g = Graph(n, rows - 1)
     except _EdgeError as exc:
-        pair = tokens[2 * exc.index:2 * exc.index + 2]
-        u, v = map(int, pair)
+        lineno = linenos[exc.index]
+        fields = _line_fields(text, lineno)
+        u, v = map(int, fields[1:])
         message = {
-            "range": f"vertex out of range in {' '.join(['e', *pair])!r}",
+            "range": f"vertex out of range in {' '.join(fields)!r}",
             "loop": f"self-loop at vertex {u}",
             "duplicate": f"duplicate edge {(min(u, v), max(u, v))}",
         }[exc.reason]
-        raise GraphFormatError(message, linenos[exc.index]) from None
+        raise GraphFormatError(message, lineno) from None
     if stop is not None:
         raise stop
     if g.m != m:
@@ -436,11 +447,15 @@ def _parse_graph_lines(text: str | bytes) -> Graph:
     return g
 
 
+def _emit_rows(head: str, line: str, rows: np.ndarray) -> str:
+    """head, then `line` formatted with each row of rows, all by one `%`."""
+    return head + (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def emit_graph(g: Graph) -> str:
     """Canonical text form: header, then edges `e u v` with u < v, sorted."""
     u, v = g._edge_columns()
-    pairs = np.column_stack((u + 1, v + 1)).ravel().tolist()
-    return f"p sgd {g.n} {g.m}\n" + ("e %d %d\n" * g.m) % tuple(pairs)
+    return _emit_rows(f"p sgd {g.n} {g.m}\n", "e %d %d\n", np.column_stack((u + 1, v + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +496,17 @@ def _circle_factor(n: int, r: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _factor_rounds(n: int) -> Iterator[list[tuple[int, int]]]:
+    """The n-1 rounds of the circle method on K_n, each sorted, made one at
+    a time; n is checked at the call."""
+    if n <= 0 or n % 2 != 0:
+        raise ValueError("1-factorization requires even n >= 2")
+    return (sorted(_circle_factor(n, r)) for r in range(n - 1))
+
+
 def one_factorization(n: int) -> list[Matching]:
     """The n-1 pairwise edge-disjoint perfect matchings partitioning E(K_n).
 
     Deterministic circle method: vertex n-1 stays fixed, the others rotate.
     """
-    if n <= 0 or n % 2 != 0:
-        raise ValueError("1-factorization requires even n >= 2")
-    return [Matching(frozenset(_circle_factor(n, r))) for r in range(n - 1)]
+    return [Matching(frozenset(pairs)) for pairs in _factor_rounds(n)]

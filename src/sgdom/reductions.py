@@ -4,6 +4,7 @@ k-domination, and 1-in-3 SAT -> upper signed k-domination."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -11,7 +12,7 @@ from itertools import repeat
 import numpy as np
 
 from .certify import Mode, SignFunction, _mode_sums, is_minimal_skdf, verify
-from .graph import Graph, GraphFormatError, _read_lines
+from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _read_body
 
 MTDS = "mtds"
 MDS = "mds"
@@ -41,34 +42,54 @@ class ThreeSatFormula:
         return len(self.clauses)
 
 
+# Clause lines in the form `a b c 0`, each literal with at most 7 digits.
+_CLAUSE_LINES = re.compile(rb"(?:[1-9][0-9]{0,6} [1-9][0-9]{0,6} [1-9][0-9]{0,6} 0\n)*")
+
+
+def _clause_error(fields: list[str], n: int = 0) -> str:
+    """What is wrong with the clause line `fields` over variables 1..n. The
+    reader asks, without n, only about a line whose field count or fields
+    are wrong."""
+    try:
+        *clause, end = map(int, fields)
+    except ValueError:
+        return f"malformed clause line {' '.join(fields)!r}"
+    clause = tuple(clause)
+    if len(clause) != 3 or end != 0:
+        return "clause must be three literals then 0"
+    if min(clause) < 0:
+        return "negative literals are not allowed"
+    if min(clause) == 0 or max(clause) > n:
+        return f"variable out of range 1..{n} in clause {clause}"
+    return f"clause {clause} must have 3 distinct variables"
+
+
 def parse_cnf(text: str | bytes) -> ThreeSatFormula:
     """Parse DIMACS-style `p cnf <n> <m>` with clause lines `a b c 0`.
 
     All literals must be positive; a negative literal is a format error.
+    The clauses are checked at once; every error names the first offending
+    line.
     """
-    lines = _read_lines(text, "p", "cnf", int, int)
-    header_line, (n, m) = next(lines)
+    (header_line, (n, m)), rows, linenos, stop = _read_body(
+        text, "p", "cnf", (int, int), None, (int,) * 4, _CLAUSE_LINES, _clause_error
+    )
     if n < 1:
         raise GraphFormatError("formula needs at least one variable", header_line)
-    clauses: list[tuple[int, int, int]] = []
-    for lineno, fields in lines:
-        try:
-            lits = [int(x) for x in fields]
-        except ValueError:
-            raise GraphFormatError(f"malformed clause line {' '.join(fields)!r}", lineno) from None
-        if len(lits) != 4 or lits[3] != 0:
-            raise GraphFormatError("clause must be three literals then 0", lineno)
-        clause = tuple(lits[:3])
-        if min(clause) < 0:
-            raise GraphFormatError("negative literals are not allowed", lineno)
-        if min(clause) == 0 or max(clause) > n:
-            raise GraphFormatError(f"variable out of range 1..{n} in clause {clause}", lineno)
-        if len(set(clause)) != 3:
-            raise GraphFormatError(f"clause {clause} must have 3 distinct variables", lineno)
-        clauses.append(clause)
-    if len(clauses) != m:
-        raise GraphFormatError(f"header declares {m} clauses, found {len(clauses)}")
-    return ThreeSatFormula(n, tuple(clauses))
+    lits = rows[:, :3]
+    a, b, c = lits.T
+    wrong = np.flatnonzero(
+        (rows[:, 3] != 0) | (lits < 1).any(axis=1) | (lits > n).any(axis=1)
+        | (a == b) | (a == c) | (b == c)
+    )
+    if wrong.size:
+        lineno = linenos[int(wrong[0])]
+        raise GraphFormatError(_clause_error(_line_fields(text, lineno), n), lineno)
+    if stop is not None:
+        raise stop
+    if len(rows) != m:
+        raise GraphFormatError(f"header declares {m} clauses, found {len(rows)}")
+    return ThreeSatFormula(n, tuple(map(tuple, lits.tolist())))
 
 
 @dataclass(frozen=True)
@@ -146,7 +167,7 @@ def emit_provenance(art: ReductionArtifact) -> str:
         rows = len(columns[0])
         line = f"%d {head}({','.join(['%d'] * len(columns))})\n"
         ids = np.arange(start, start + rows)
-        parts.append((line * rows) % tuple(np.column_stack((ids, *columns)).ravel().tolist()))
+        parts.append(_emit_rows("", line, np.column_stack((ids, *columns))))
         start += rows
     return "".join(parts)
 

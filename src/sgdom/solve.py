@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import config
+from .bounds import parity_ceil
 from .certify import (
     Mode,
     SignFunction,
@@ -201,10 +202,9 @@ def brute_force_upper(
 
 
 def _parity_ceil(bound: float, n: int) -> int:
-    """Least integer of the parity of n that is at least `bound`, less a
-    float tolerance, so rounding error can only weaken the bound."""
-    value = math.ceil(bound - _FLOAT_TOL)
-    return value + (value - n) % 2
+    """`parity_ceil` of `bound` less a float tolerance, so rounding error
+    can only weaken the bound."""
+    return parity_ceil(bound - _FLOAT_TOL, n)
 
 
 def _dual_ascent(

@@ -225,6 +225,13 @@ def loop_certificate_text(f, k, mode):
     return "\n".join(lines) + "\n"
 
 
+def loop_cnf_text(formula):
+    """Canonical `p cnf` text of a formula, one formatted line per clause."""
+    lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
+    lines += [f"{a} {b} {c} 0" for a, b, c in formula.clauses]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

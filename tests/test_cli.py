@@ -1,7 +1,9 @@
 import io
 import json
+import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdom import Mode, cycle, emit_certificate, emit_graph, path, SignFunction
+from sgdom import Mode, cycle, emit_certificate, emit_graph, one_factorization, path, SignFunction
 from sgdom.cli import main
 
 
@@ -177,6 +179,32 @@ class TestGen:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 10])
+    def test_onefactor_writes_the_factorization(self, n, capsys):
+        assert main(["gen", "onefactor", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"round {i}: {' '.join(f'({u + 1},{v + 1})' for u, v in sorted(factor.pairs))}\n"
+            for i, factor in enumerate(one_factorization(n), start=1)
+        )
+
+    def test_onefactor_writes_round_by_round(self, monkeypatch):
+        """Each round is written as soon as it is made, so memory stays flat
+        in n: 499 rounds of 250 pairs, about 1.4 MB of text, are sent to a
+        sink that keeps nothing."""
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            assert main(["gen", "onefactor", "--n", "500"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_bad_t_is_usage_error(self, capsys):
         code = main(

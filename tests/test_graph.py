@@ -10,6 +10,7 @@ from sgdom import (
     Matching,
     Mode,
     SignFunction,
+    ThreeSatFormula,
     complete,
     complete_bipartite,
     cycle,
@@ -22,10 +23,7 @@ from sgdom import (
     path,
 )
 
-from sgdom.certify import _parse_certificate_lines
-from sgdom.graph import _parse_graph_lines
-
-from conftest import loop_certificate_text, loop_graph_text, reference_graph
+from conftest import loop_certificate_text, loop_cnf_text, loop_graph_text, reference_graph
 
 
 class TestParse:
@@ -274,38 +272,57 @@ _sign_functions = st.lists(st.sampled_from([-1, 1]), max_size=40).map(
 )
 
 
+@st.composite
+def _formulas(draw):
+    """A formula of up to 12 clauses; some have many variables, so that
+    literals of up to 7 digits occur."""
+    n = draw(st.integers(3, 30) | st.sampled_from([999, 1_000_000]))
+    literal = st.integers(1, n) | st.sampled_from([1, n - 1, n])
+    clause = st.lists(literal, min_size=3, max_size=3, unique=True).map(tuple)
+    return ThreeSatFormula(n, tuple(draw(st.lists(clause, max_size=12))))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(g=_graphs(), f=_sign_functions, k=st.integers(1, 4), mode=st.sampled_from(list(Mode)))
-def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode):
+@given(
+    g=_graphs(), f=_sign_functions, k=st.integers(1, 4), mode=st.sampled_from(list(Mode)),
+    formula=_formulas(),
+)
+def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode, formula):
     """What the emitters write is read back equal, as str and as bytes,
     without the per-line path; the emitters write the per-line reference
-    text byte for byte."""
+    text byte for byte. Canonical CNF text is read in the fast lane too."""
     graph_text = emit_graph(g)
     cert_text = emit_certificate(f, k, mode)
+    cnf_text = loop_cnf_text(formula)
     assert graph_text == loop_graph_text(g)
     assert cert_text == loop_certificate_text(f, k, mode)
     refuse = mock.Mock(side_effect=AssertionError("per-line path taken"))
-    with mock.patch("sgdom.graph._parse_graph_lines", refuse), \
-            mock.patch("sgdom.certify._parse_certificate_lines", refuse):
+    with mock.patch("sgdom.graph._line_rows", refuse):
         for text in (graph_text, graph_text.encode("ascii")):
             assert _contents(parse_graph(text)) == _contents(g)
         for text in (cert_text, cert_text.encode("ascii")):
             assert parse_certificate(text) == (k, mode, f)
+        for text in (cnf_text, cnf_text.encode("ascii")):
+            assert parse_cnf(text) == formula
 
 
 def test_long_emitted_text_reads_back_in_the_fast_lane():
     g = complete(150)
     f = SignFunction((1, -1, -1) * 4000)
     refuse = mock.Mock(side_effect=AssertionError("per-line path taken"))
-    with mock.patch("sgdom.graph._parse_graph_lines", refuse), \
-            mock.patch("sgdom.certify._parse_certificate_lines", refuse):
+    with mock.patch("sgdom.graph._line_rows", refuse):
         assert parse_graph(emit_graph(g)) == g
         assert parse_certificate(emit_certificate(f, 2, Mode.TOTAL)) == (2, Mode.TOTAL, f)
 
 
 def _perturbations(tag):
     """Edits of a canonical text's lines (header first): each makes the text
-    non-canonical, wrong, or both. `tag` is the body-line tag."""
+    non-canonical, wrong, or both. `tag` is the body-line tag, or None for
+    the untagged CNF clauses; a clause made up here ends in `3 0`."""
+
+    def line(*fields):
+        return " ".join([tag, *fields] if tag else [*fields, "3", "0"])
+
     return {
         "comment line": lambda lines, i: lines[:i] + ["c note"] + lines[i:],
         "blank line": lambda lines, i: lines[:i] + [""] + lines[i:],
@@ -318,10 +335,10 @@ def _perturbations(tag):
         "leading zero": lambda lines, i: lines[:i] + [lines[i].replace(" ", " 0", 1)] + lines[i + 1:],
         "non-ASCII digit": lambda lines, i: [line.replace("3", "\u0663") for line in lines],
         "repeated line": lambda lines, i: lines + [lines[i]],
-        "reversed line": lambda lines, i: lines + [" ".join([tag] + lines[i].split()[:0:-1])],
-        "vertex 0": lambda lines, i: lines + [f"{tag} 0 1"],
-        "vertex beyond n": lambda lines, i: lines + [f"{tag} 1 {lines[0].split()[2]}1"],
-        "eight digits": lambda lines, i: lines + [f"{tag} 12345678 1"],
+        "reversed line": lambda lines, i: lines + [line(*lines[i].split()[:0:-1])],
+        "vertex 0": lambda lines, i: lines + [line("0", "1")],
+        "vertex beyond n": lambda lines, i: lines + [line("1", f"{lines[0].split()[2]}1")],
+        "eight digits": lambda lines, i: lines + [line("12345678", "1")],
         "lines swapped": lambda lines, i: lines[:1] + lines[:0:-1],
         "line dropped": lambda lines, i: lines[:i] + lines[i + 1:],
         "count + 1": lambda lines, i: [_bump(lines[0], 2, 1)] + lines[1:],
@@ -337,17 +354,31 @@ def _bump(header, field, by):
     return " ".join(fields)
 
 
-@pytest.mark.parametrize("fmt", ["graph", "certificate"])
+def _per_line(parse):
+    """parse with the canonical lane declined, so every text is read line
+    by line."""
+
+    def reference(text):
+        with mock.patch("sgdom.graph._canonical_rows", return_value=None):
+            return parse(text)
+
+    return reference
+
+
+@pytest.mark.parametrize("fmt", ["graph", "certificate", "cnf"])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(g=_graphs(), f=_sign_functions, data=st.data())
 def test_perturbed_text_matches_per_line_path(fmt, g, f, data):
     """A perturbed canonical text gives the per-line path's result, or its
     error with the same message and line, as str and as bytes."""
     if fmt == "graph":
-        parse, reference, text, tag = parse_graph, _parse_graph_lines, emit_graph(g), "e"
-    else:
+        parse, text, tag = parse_graph, emit_graph(g), "e"
+    elif fmt == "certificate":
         text = emit_certificate(f, data.draw(st.integers(1, 3)), Mode.CLOSED)
-        parse, reference, tag = parse_certificate, _parse_certificate_lines, "v"
+        parse, tag = parse_certificate, "v"
+    else:
+        parse, text, tag = parse_cnf, loop_cnf_text(data.draw(_formulas())), None
+    reference = _per_line(parse)
     lines = text.splitlines()
     edit = data.draw(st.sampled_from(sorted(_perturbations(tag))))
     lines = _perturbations(tag)[edit](lines, data.draw(st.integers(0, len(lines) - 1)))

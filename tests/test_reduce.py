@@ -94,6 +94,37 @@ class TestFormula:
             parse_cnf(f"p cnf 3 2\n1 2 3 0\n{clause}\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("1 x", 3, "malformed clause line '1 x'"),
+            ("1 2 x 0", 3, "malformed clause line '1 2 x 0'"),
+            ("1 2 3", 3, "clause must be three literals then 0"),
+            ("1 2 3 0 0", 3, "clause must be three literals then 0"),
+            ("1 2 3 4", 3, "clause must be three literals then 0"),
+            ("1 -2 3 0", 3, "negative literals are not allowed"),
+            ("0 1 2 0", 3, "variable out of range 1..3 in clause (0, 1, 2)"),
+            (
+                "1 99999999999999999999 2 0", 3,
+                "variable out of range 1..3 in clause (1, 99999999999999999999, 2)",
+            ),
+            ("1 1 2 0", 3, "clause (1, 1, 2) must have 3 distinct variables"),
+            ("3 2 1 0\np cnf 3 2", 4, "duplicate header"),
+            ("1 1 2 0\np cnf 3 2", 3, "clause (1, 1, 2) must have 3 distinct variables"),
+            ("c note\n2 2 1 0\n1 x", 4, "clause (2, 2, 1) must have 3 distinct variables"),
+            ("3 2 1 0\n1 2 3 0", None, "header declares 2 clauses, found 3"),
+        ],
+    )
+    def test_clause_errors_are_pinned(self, body, line, message):
+        """Every clause error, as str and as bytes, with the line it names:
+        the first offending line, whichever error it has."""
+        text = f"p cnf 3 2\n1 2 3 0\n{body}\n"
+        for raw in (text, text.encode("ascii")):
+            with pytest.raises(GraphFormatError) as exc:
+                parse_cnf(raw)
+            assert exc.value.line == line
+            assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
 
 class TestMtdsConstruction:
     def test_path_instance(self):
