@@ -136,6 +136,8 @@ def _cmd_verify(args) -> int:
     cert_k, cert_mode, f = parse_certificate(_read_bytes(args.cert))
     k = args.k if args.k is not None else cert_k
     mode = Mode(args.mode) if args.mode else cert_mode
+    if args.minimal and mode is not Mode.CLOSED:
+        raise ValueError("minimality is only defined in closed mode")
     report = verify(g, k, mode, f)
     lines = [
         f"feasible = {'yes' if report.feasible else 'no'}",
@@ -147,8 +149,6 @@ def _cmd_verify(args) -> int:
         lines.append("violations = " + " ".join(str(v + 1) for v in sorted(report.violations)))
     minimal = None
     if args.minimal and report.feasible:
-        if mode is not Mode.CLOSED:
-            raise GraphFormatError("minimality is only defined in closed mode")
         mreport = is_minimal_skdf(g, k, f)
         minimal = mreport.minimal
         lines.append(f"minimal = {'yes' if mreport.minimal else 'no'}")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +18,6 @@ from .certify import (
     SignFunction,
     _mode_neighborhood,
     _mode_sums,
-    forced_plus_vertices,
     is_minimal_skdf,
     verify,
 )
@@ -35,10 +33,9 @@ _LOW_BITS = 14
 
 # Lagrangian bound of the branch-and-bound: subgradient steps at the first
 # node that needs the bound, then per node from the parent's multipliers;
-# the Polyak step scale; and the float tolerance taken off every bound.
+# and the float tolerance taken off every bound.
 _ROOT_STEPS = 100
 _NODE_STEPS = 15
-_STEP = 1.0
 _FLOAT_TOL = 1e-6
 
 
@@ -244,7 +241,7 @@ def _dual_ascent(
         norm = float(grad @ grad)
         if norm == 0:
             break
-        y = np.maximum(y + (_STEP * (target - bound) / norm) * grad, 0)
+        y = np.maximum(y + ((target - bound) / norm) * grad, 0)
     return top, top_y
 
 
@@ -253,15 +250,22 @@ def bnb_sigma(
 ) -> SolveResult:
     """Branch-and-bound for sigma_kS / sigma_tkS.
 
-    Uses parity-strengthened per-vertex thresholds (a neighborhood whose size
-    has the opposite parity of k must reach k+1), unit propagation when a
-    neighborhood's achievable maximum gets tight, and pruning against the
-    incumbent by Lagrangian bounds rounded up to the parity of n (see
-    `_dual_ascent`), whose multipliers are tuned at the first node that needs
-    them and warm-started down the search. The search is an explicit stack,
-    so its depth is not limited by Python's recursion limit. Always agrees
-    with brute_force_sigma on the value; the certificate is the first optimal
-    leaf in branch order (degree order, -1 before +1).
+    Uses parity-strengthened per-vertex thresholds thr[v] (a neighbourhood
+    whose size has the opposite parity of k must reach k+1) and a one-step
+    unit rule on slack[v], the largest sum N_mode(v) can still reach less
+    thr[v]: |N_mode(v)| - thr[v], lowered by 2 for each -1 placed in it.
+    The constraints are monotone in f, so a +1 changes no slack. A negative
+    slack is a conflict, and a slack of at most 1 sets every undecided vertex
+    of N_mode(v) to +1; those +1s change no slack, so the rule never
+    cascades. It runs on every vertex at the root (a neighbourhood of fewer
+    than k vertices is a root conflict; the vertices it forces are
+    `forced_plus_vertices`) and then on N_mode(u) after each -1 at u.
+    Nodes are pruned against the incumbent by Lagrangian bounds rounded up to
+    the parity of n (see `_dual_ascent`), whose multipliers are tuned at the
+    first node that needs them and warm-started down the search. The search
+    is an explicit stack, so its depth is not limited by Python's recursion
+    limit. Always agrees with brute_force_sigma on the value; the certificate
+    is the first optimal leaf in branch order (degree order, -1 before +1).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -269,60 +273,38 @@ def bnb_sigma(
     if n == 0:
         return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
     nbhd = [_mode_neighborhood(g, v, mode) for v in range(n)]
-    # A neighbourhood of fewer than k vertices cannot sum to k.
-    if min(len(a) for a in nbhd) < k:
-        return SolveResult(INFEASIBLE, None, None, 0)
     thr = [k if (len(nbhd[v]) - k) % 2 == 0 else k + 1 for v in range(n)]
-
+    slack = [len(nbhd[v]) - thr[v] for v in range(n)]
     assign = [0] * n
-    sum_dec = [0] * n
-    und = [len(nbhd[v]) for v in range(n)]
     trail: list[int] = []
-    state = {"w": 0, "und_total": n}
 
     def place(u: int, val: int) -> None:
         assign[u] = val
         trail.append(u)
-        state["w"] += val
-        state["und_total"] -= 1
-        for v in nbhd[u]:
-            sum_dec[v] += val
-            und[v] -= 1
+        if val < 0:
+            for v in nbhd[u]:
+                slack[v] -= 2
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             u = trail.pop()
-            val = assign[u]
+            if assign[u] < 0:
+                for v in nbhd[u]:
+                    slack[v] += 2
             assign[u] = 0
-            state["w"] -= val
-            state["und_total"] += 1
-            for v in nbhd[u]:
-                sum_dec[v] -= val
-                und[v] += 1
 
-    def propagate(seeds: list[tuple[int, int]]) -> bool:
-        queue = deque(seeds)
-        while queue:
-            u, val = queue.popleft()
-            if assign[u] != 0:
-                if assign[u] != val:
-                    return False
-                continue
-            place(u, val)
-            for v in nbhd[u]:
-                slack = sum_dec[v] + und[v] - thr[v]
-                if slack < 0:
-                    return False
-                if slack <= 1 and und[v] > 0:
-                    for w in nbhd[v]:
-                        if assign[w] == 0:
-                            queue.append((w, 1))
+    def unit(v: int) -> bool:
+        """The whole propagation rule at v; False on a conflict."""
+        if slack[v] < 0:
+            return False
+        if slack[v] <= 1:
+            for u in nbhd[v]:
+                if assign[u] == 0:
+                    place(u, 1)
         return True
 
-    # Root propagation from the forced vertices. A +1 leaves every slack as
-    # it was, and the size check above makes each slack nonnegative, so this
-    # cannot fail.
-    propagate([(v, 1) for v in forced_plus_vertices(g, k, mode)])
+    if not all(unit(v) for v in range(n)):
+        return SolveResult(INFEASIBLE, None, None, 0)
 
     order = sorted(range(n), key=lambda v: (g.degree(v), v))
     src = np.repeat(np.arange(n), [len(a) for a in nbhd])
@@ -345,15 +327,16 @@ def bnb_sigma(
         nodes += 1
         if nodes > node_budget:
             return False
-        w, free_total = state["w"], state["und_total"]
+        w, free_total = sum(assign), n - len(trail)
         if best_w is not None and w - free_total >= best_w:
             return True
         if free_total == 0:
             best_w, best_f = w, SignFunction(tuple(assign))
             return True
         if best_w is not None:
-            rhs = thr_arr - np.array(sum_dec)
-            free = (np.array(assign) == 0).astype(float)
+            x = np.array(assign)
+            rhs = thr_arr - np.bincount(src, weights=x[dst], minlength=n)
+            free = (x == 0).astype(float)
             if y is None:
                 if root_y is None:
                     _, root_y = _dual_ascent(
@@ -377,7 +360,9 @@ def bnb_sigma(
             stack.pop()
         else:
             frame[1] = val + 2
-            if propagate([(frame[0], val)]):
+            u = frame[0]
+            place(u, val)
+            if val > 0 or all(unit(v) for v in nbhd[u]):
                 capped = not enter(frame[3], frame[4])
 
     if capped:

@@ -121,6 +121,26 @@ class TestVerify:
         assert code == 1
         assert "minimal = no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("flag", [True, False], ids=["mode-flag", "mode-header"])
+    def test_minimal_in_total_mode_is_usage_error(self, tmp_path, capsys, sign, flag):
+        # Minimality is defined only in closed mode, whether the total mode
+        # comes from --mode or from the certificate header, and whether or
+        # not the certificate is feasible (all +1 is, all -1 is not, on P3).
+        g = tmp_path / "p3.graph"
+        g.write_text(emit_graph(path(3)), encoding="utf-8")
+        cert = tmp_path / "c.cert"
+        header_mode = Mode.CLOSED if flag else Mode.TOTAL
+        cert.write_text(
+            emit_certificate(SignFunction((sign,) * 3), 1, header_mode), encoding="utf-8"
+        )
+        argv = ["verify", "--cert", str(cert), "--minimal", str(g)]
+        code = main(argv + ["--mode", "total"] * flag)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: minimality is only defined in closed mode\n"
+
 
 class TestBound:
     def test_profile(self, capsys):

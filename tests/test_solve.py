@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from sgdom import (
     complete,
     complete_bipartite,
     cycle,
+    forced_plus_vertices,
     gamma,
     gamma_t,
     one_in_three_sat,
@@ -25,7 +27,14 @@ from sgdom import solve
 from sgdom.bounds import indicator
 from sgdom.solve import CAP_EXCEEDED, INFEASIBLE, OPTIMAL, CapExceededError, InfeasibleError
 
-from conftest import exhaustive_sigma, exhaustive_upper, first_optimum, mode_rows, random_graph
+from conftest import (
+    exhaustive_sigma,
+    exhaustive_upper,
+    first_optimum,
+    mode_rows,
+    nbhd,
+    random_graph,
+)
 
 
 class TestBruteForceSigma:
@@ -228,23 +237,47 @@ class TestBranchAndBound:
                             assert bb.certificate.weight == bb.value
 
     @pytest.mark.parametrize(
-        "n,p,seed,k,mode,value,signs",
+        "n,p,seed,k,mode,value,signs,nodes",
         [
-            (24, 0.3, 24, 1, Mode.CLOSED, 6, "----++-++++++++++-+---++"),
-            (26, 0.25, 26, 2, Mode.TOTAL, 12, "--++++++++-++--++-+++++-++"),
-            (28, 0.25, 28, 1, Mode.TOTAL, 4, "+--+-++-+--++-----++++++++-+"),
-            (30, 0.2, 30, 1, Mode.CLOSED, 6, "--++--+-+--+++++++-+-+++-++-+-"),
+            (24, 0.3, 24, 1, Mode.CLOSED, 6, "----++-++++++++++-+---++", 29),
+            (26, 0.25, 26, 2, Mode.TOTAL, 12, "--++++++++-++--++-+++++-++", 15),
+            (28, 0.25, 28, 1, Mode.TOTAL, 4, "+--+-++-+--++-----++++++++-+", 27),
+            (30, 0.2, 30, 1, Mode.CLOSED, 6, "--++--+-+--+++++++-+-+++-++-+-", 71),
         ],
     )
-    def test_pinned_certificates(self, n, p, seed, k, mode, value, signs):
+    def test_pinned_certificates(self, n, p, seed, k, mode, value, signs, nodes):
         # Values and certificates pinned from the search without the
         # Lagrangian bound, which needed 1.2k-111k nodes on these graphs;
         # the bound prunes only subtrees with nothing strictly better than
-        # the incumbent, so the first optimal leaf is still the answer.
+        # the incumbent, so the first optimal leaf is still the answer. The
+        # node counts are pinned too, so a search that explores more fails.
         g = random_graph(random.Random(seed), n, p)
         result = bnb_sigma(g, k, mode, node_budget=2000)
         assert result.status == OPTIMAL and result.value == value
         assert result.certificate.values == tuple(1 if c == "+" else -1 for c in signs)
+        assert result.nodes_explored == nodes
+
+    def test_root_rule_matches_the_closed_forms(self):
+        # The root step of the unit rule is the size check and
+        # forced_plus_vertices: the search stops before its first node iff
+        # some |N_mode(v)| < k, and it needs exactly one node iff every
+        # vertex is forced (the root is then the only leaf).
+        rng = random.Random(9)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+            for mode in (Mode.CLOSED, Mode.TOTAL):
+                sizes = [len(nbhd(g, v, mode)) for v in range(n)]
+                for k in (1, 2, 3):
+                    nodes = bnb_sigma(g, k, mode).nodes_explored
+                    too_small = min(sizes) < k
+                    assert (nodes == 0) == too_small
+                    if not too_small:
+                        all_forced = forced_plus_vertices(g, k, mode) == frozenset(range(n))
+                        assert (nodes == 1) == all_forced
+                    seen[nodes] += 1
+        assert seen[0] > 100 and seen[1] > 100
 
     def test_depth_beyond_the_recursion_limit(self):
         # On a cycle of order 3m, every third vertex is a branching -1 that
