@@ -35,11 +35,19 @@ def _mode_sums(g: Graph, x: np.ndarray, mode: Mode) -> np.ndarray:
     return sums
 
 
-def _mode_neighborhood(g: Graph, v: int, mode: Mode) -> tuple[int, ...]:
-    """N_mode(v) as a sorted tuple."""
+def _mode_rows(g: Graph, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """N_mode(v) of every v as read-only rows (ptr, nbr), each sorted: row v
+    is nbr[ptr[v]:ptr[v + 1]]. Total mode gives views of the graph's own
+    arrays; closed mode inserts v into row v after its neighbours below v.
+    Branch-and-bound adds floats in row order, so the order is kept."""
+    ptr, nbr = g._ptr.view(), g._nbr.view()
     if mode is Mode.CLOSED:
-        return g.closed_neighbors(v)
-    return g.neighbors(v)
+        src = np.repeat(np.arange(g.n), g._degrees())
+        below = np.bincount(src[nbr < src], minlength=g.n)
+        nbr = np.insert(nbr, ptr[:-1] + below, np.arange(g.n))
+        ptr = ptr + np.arange(g.n + 1)
+    ptr.flags.writeable = nbr.flags.writeable = False
+    return ptr, nbr
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def _cmd_bound(args) -> int:
         profile = DegreeProfile.of_graph(g, args.k)
     else:
         if args.n is None or args.delta is None or args.Delta is None:
-            raise GraphFormatError("bound needs a graph file or --n/--delta/--Delta")
+            raise ValueError("bound needs a graph file or --n/--delta/--Delta")
         profile = DegreeProfile(args.n, args.delta, args.Delta, args.k)
     mode = Mode(args.mode)
     num, den = bound_terms(profile, mode)
@@ -243,13 +243,33 @@ def _cmd_gen_onefactor(args) -> int:
     return EXIT_OK
 
 
+def _check_gadget_size(source: str, k: int, n: int, m: int) -> None:
+    """`_check_gen_size` for the gadget `reduce` builds from n vertices and m
+    edges, or n variables and m clauses. A set reduction joins
+    B = 2m + n(k - 1) blocks K_{k+1} (mds) or 2m + n(k - 2) blocks K_{k+2}
+    (mtds) to the source graph by one edge each. A k below 1 is left to the
+    reduction's own error."""
+    if k < 1:
+        return
+    if source == ONE_IN_THREE:
+        edges = m * (k + 2) * (k + 1) // 2 + n * ((k + 3) * (k + 2) // 2 - 1) + 3 * m
+        _check_gen_size((k + 3) * n + (k + 2) * m, edges)
+        return
+    size, extra = (k + 1, k - 1) if source == "mds" else (k + 2, k - 2)
+    blocks = 2 * m + n * extra
+    _check_gen_size(n + size * blocks, m + blocks * (size * (size - 1) // 2 + 1))
+
+
 def _cmd_reduce(args) -> int:
     text = _read_bytes(args.input)
     if args.source == ONE_IN_THREE:
-        art = reduce_1in3(parse_cnf(text), args.k)
+        formula = parse_cnf(text)
+        _check_gadget_size(ONE_IN_THREE, args.k, formula.num_vars, formula.num_clauses)
+        art = reduce_1in3(formula, args.k)
         threshold_line = f"threshold: {art.threshold_value}"
     else:
         g = parse_graph(text)
+        _check_gadget_size(args.source, args.k, g.n, g.m)
         art = (reduce_mtds if args.source == "mtds" else reduce_mds)(g, args.k)
         off = art.threshold_offset
         threshold_line = f"threshold: r -> 2r {'+' if off >= 0 else '-'} {abs(off)}"

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -25,12 +24,12 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Stored as compressed sparse rows: the neighbors of v are
-    `_nbr[_ptr[v]:_ptr[v + 1]]`, sorted. Adjacency is symmetric, loop-free
-    and without multi-edges by construction.
+    Stored only as compressed sparse rows, which every accessor reads: the
+    neighbors of v are `_nbr[_ptr[v]:_ptr[v + 1]]`, sorted. Adjacency is
+    symmetric, loop-free and without multi-edges by construction.
     """
 
-    __slots__ = ("n", "m", "_ptr", "_nbr", "_tuples")
+    __slots__ = ("n", "m", "_ptr", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -59,27 +58,15 @@ class Graph:
         self._nbr = nbr
         self._ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self._ptr[1:])
-        self._tuples = None
-
-    @property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """N(v) as a sorted tuple for every v, derived from the rows once,
-        on first use (verify and the degree bounds never need it)."""
-        if self._tuples is None:
-            flat = tuple(self._nbr.tolist())
-            ends = self._ptr.tolist()
-            self._tuples = tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
-        return self._tuples
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v), sorted."""
         self._check_vertex(v)
-        return self._adj[v]
+        return tuple(self._nbr[self._ptr[v]:self._ptr[v + 1]].tolist())
 
     def closed_neighbors(self, v: int) -> tuple[int, ...]:
         """Closed neighborhood N[v] = N(v) ∪ {v}, sorted."""
-        self._check_vertex(v)
-        return tuple(sorted(self._adj[v] + (v,)))
+        return tuple(sorted(self.neighbors(v) + (v,)))
 
     def neighbor_sums(self, x: np.ndarray) -> np.ndarray:
         """The sum of x over N(v) for every vertex v, from one cumulative sum
@@ -92,9 +79,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        row = self._adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        row = self._nbr[self._ptr[u]:self._ptr[u + 1]]
+        i = row.searchsorted(v)
+        return bool(i < row.size and row[i] == v)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -137,10 +124,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return np.array_equal(self._ptr, other._ptr) and np.array_equal(self._nbr, other._nbr)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self._ptr.tobytes(), self._nbr.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -136,10 +136,6 @@ class ReductionArtifact:
         return Mode.TOTAL if self.kind == MTDS else Mode.CLOSED
 
     @property
-    def threshold_slope(self) -> int | None:
-        return None if self.kind == ONE_IN_THREE else 2
-
-    @property
     def threshold_offset(self) -> int | None:
         if self.kind == ONE_IN_THREE:
             return None
@@ -152,7 +148,7 @@ class ReductionArtifact:
             return self.threshold_value
         if r is None:
             raise ValueError("set reductions need a source threshold r")
-        return self.threshold_slope * r + self.threshold_offset
+        return 2 * r + self.threshold_offset
 
     def vertex_of(self, label: tuple) -> int:
         return self._label_index[label]

@@ -16,7 +16,7 @@ from .bounds import parity_ceil
 from .certify import (
     Mode,
     SignFunction,
-    _mode_neighborhood,
+    _mode_rows,
     _mode_sums,
     is_minimal_skdf,
     verify,
@@ -272,9 +272,11 @@ def bnb_sigma(
     n = g.n
     if n == 0:
         return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
-    nbhd = [_mode_neighborhood(g, v, mode) for v in range(n)]
-    thr = [k if (len(nbhd[v]) - k) % 2 == 0 else k + 1 for v in range(n)]
-    slack = [len(nbhd[v]) - thr[v] for v in range(n)]
+    ptr, dst = _mode_rows(g, mode)
+    flat, ends = dst.tolist(), ptr.tolist()
+    nbhd = [flat[a:b] for a, b in zip(ends, ends[1:])]
+    thr = [k if (len(a) - k) % 2 == 0 else k + 1 for a in nbhd]
+    slack = [len(a) - t for a, t in zip(nbhd, thr)]
     assign = [0] * n
     trail: list[int] = []
 
@@ -306,9 +308,10 @@ def bnb_sigma(
     if not all(unit(v) for v in range(n)):
         return SolveResult(INFEASIBLE, None, None, 0)
 
-    order = sorted(range(n), key=lambda v: (g.degree(v), v))
-    src = np.repeat(np.arange(n), [len(a) for a in nbhd])
-    dst = np.fromiter((u for a in nbhd for u in a), dtype=np.intp, count=len(src))
+    # |N[v]| = degree + 1, so both modes branch in (degree, v) order.
+    sizes = np.diff(ptr)
+    order = np.argsort(sizes, kind="stable").tolist()
+    src = np.repeat(np.arange(n), sizes)
     thr_arr = np.array(thr, dtype=float)
 
     nodes = 0

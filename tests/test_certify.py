@@ -15,6 +15,7 @@ from sgdom import (
     path,
     verify,
 )
+from sgdom.certify import _mode_rows
 from sgdom.graph import GraphFormatError
 
 from conftest import (
@@ -56,6 +57,22 @@ def test_verify_matches_reference_sums(n, data):
         if mode is Mode.CLOSED and report.feasible:
             f = SignFunction(tuple(values))
             assert is_minimal_skdf(g, k, f).offending == first_offending(g, k, values)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_mode_rows_are_the_sorted_neighbourhoods(rng, mode):
+    """Row v of _mode_rows is N_mode(v), sorted, as built from the edge list
+    alone; the rows are read-only."""
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        rows = [{v} if mode is Mode.CLOSED else set() for v in range(n)]
+        for u, v in edges:
+            rows[u].add(v)
+            rows[v].add(u)
+        ptr, nbr = _mode_rows(Graph(n, edges), mode)
+        assert [nbr[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == [sorted(r) for r in rows]
+        assert not ptr.flags.writeable and not nbr.flags.writeable
 
 
 class TestVerify:

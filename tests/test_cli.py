@@ -281,10 +281,34 @@ class TestReduce:
         cnf.write_text("p cnf 3 1\n1 -2 3 0\n", encoding="utf-8")
         assert main(["reduce", "--from", "1in3", "--k", "1", str(cnf)]) == 2
 
+    @pytest.mark.parametrize(
+        "source,k",
+        [("mds", 10**23), ("mtds", 10**23), ("1in3", 10**23), ("mds", 141)],
+    )
+    def test_gadget_beyond_the_reader_cap_is_refused(self, tmp_path, capsys, source, k):
+        # From P3, k = 141 makes 424 blocks K_142: 60,211 vertices and
+        # 4,245,090 edges, just above the 2^22 count the readers accept. The
+        # counts are worked out before anything is built.
+        src = tmp_path / "src"
+        src.write_text(
+            "p cnf 3 1\n1 2 3 0\n" if source == "1in3" else emit_graph(path(3)), encoding="utf-8"
+        )
+        out = tmp_path / "gadget"
+        for extra in ([], ["-o", str(out)]):
+            assert main(["reduce", "--from", source, "--k", str(k), str(src), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: output too large")
+        assert list(tmp_path.iterdir()) == [src]
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_bound_without_graph_or_profile_is_usage_error(self, capsys):
+        assert main(["bound", "--k", "1", "--n", "5"]) == 2
+        assert capsys.readouterr().err == "error: bound needs a graph file or --n/--delta/--Delta\n"
 
     def test_unreadable_file(self, capsys):
         assert main(["solve", "--k", "1", "/nonexistent/g.graph"]) == 2

@@ -445,6 +445,29 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
+    def test_equal_edges_in_any_order_or_orientation(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        h = Graph(5, [(4, 0), (3, 2), (0, 1), (2, 1)])
+        assert g == h and hash(g) == hash(h)
+        assert Graph(0) == Graph(0, []) and hash(Graph(0)) == hash(Graph(0, []))
+
+    def test_unequal_with_one_more_vertex_or_edge(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        assert g != Graph(5, [(0, 1), (1, 2)])
+        assert g != Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert Graph(4, [(0, 1), (2, 3)]) != Graph(4, [(0, 2), (1, 3)])  # same degrees
+        assert Graph(1) != Graph(2)
+        assert g != "not a graph"
+
+    def test_has_edge_returns_bool(self):
+        g = path(3)
+        for u in range(3):
+            for v in range(3):
+                result = g.has_edge(u, v)
+                assert type(result) is bool
+                assert result == (abs(u - v) == 1)
+        assert Graph(2).has_edge(0, 1) is False
+
 
 class TestBuilders:
     def test_complete(self):

@@ -212,6 +212,12 @@ class TestBranchAndBound:
         assert bnb_sigma(path(3), 3, Mode.CLOSED).status == INFEASIBLE
         assert bnb_sigma(Graph(2), 1, Mode.TOTAL).status == INFEASIBLE
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_huge_k_is_infeasible_before_the_first_node(self, mode):
+        # The thresholds are Python ints, so k far beyond int64 cannot overflow.
+        result = bnb_sigma(cycle(5), 10**23, mode)
+        assert (result.status, result.nodes_explored) == (INFEASIBLE, 0)
+
     def test_extremal_instance(self):
         from sgdom import ExtremalSpec, build_extremal
 
