@@ -86,17 +86,13 @@ def effective_bound(p: DegreeProfile, mode: Mode) -> int:
 
 
 def nearly_regular_bound(n: int, r: int, k: int, mode: Mode) -> BoundValue:
-    """Lower bound for nearly r-regular graphs (Delta = r, delta = r-1)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    """Lower bound for nearly r-regular graphs: the theorem at delta = r-1,
+    Delta = r. Total mode needs delta >= k, so r > k there."""
     if r < k:
         raise ValueError(f"nearly regular bound requires r >= k (r={r}, k={k})")
     if n < 1:
         raise ValueError("order must be positive")
-    i = indicator(r - 1, k)
-    if mode is Mode.CLOSED:
-        return Fraction(k * n, r + i)
-    return Fraction(k * n, r - i)
+    return lower_bound(DegreeProfile(n, r - 1, r, k), mode)
 
 
 def threshold_check(p: DegreeProfile, c: Fraction, mode: Mode) -> bool:

@@ -57,9 +57,9 @@ class SignFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        for x in self.values:
-            if x not in (-1, 1):
-                raise ValueError(f"sign values must be -1 or +1, got {x}")
+        if not set(self.values) <= {-1, 1}:
+            bad = next(x for x in self.values if x not in (-1, 1))
+            raise ValueError(f"sign values must be -1 or +1, got {bad}")
 
     @classmethod
     def from_plus_set(cls, n: int, plus: Iterable[int]) -> "SignFunction":

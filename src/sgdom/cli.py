@@ -1,7 +1,7 @@
 """Command-line surface: solve, verify, bound, gen, reduce, xcheck.
 
 Exit codes: 0 success, 1 infeasible or failed check, 2 format/usage error,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from .config import DEFAULT_MAX_BRUTE_N, DEFAULT_NODE_BUDGET
 from .extremal import ExtremalSpec, build_extremal
 from .graph import _MAX_COUNT, GraphFormatError, _factor_rounds, emit_graph, parse_graph
 from .reductions import (
+    MTDS,
     ONE_IN_THREE,
     emit_provenance,
+    gadget_size,
     parse_cnf,
     reduce_1in3,
     reduce_mds,
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _record(**fields) -> dict:
@@ -99,15 +102,14 @@ def _cmd_solve(args) -> int:
     if args.param == "upper" and mode is not Mode.CLOSED:
         raise ValueError("upper signed k-domination is defined only in closed mode")
     g = _read_graph(args.graph)
+    name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     if args.param == "upper":
         result = brute_force_upper(g, args.k, max_n=args.max_brute_n)
         name = "gamma_ks"
     elif args.algo == "bnb":
         result = bnb_sigma(g, args.k, mode, node_budget=args.node_budget)
-        name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     else:
         result = brute_force_sigma(g, args.k, mode, max_n=args.max_brute_n)
-        name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     lines = [f"status = {result.status}"]
     if result.value is not None:
         lines.insert(0, f"{name} = {result.value}")
@@ -243,45 +245,29 @@ def _cmd_gen_onefactor(args) -> int:
     return EXIT_OK
 
 
-def _check_gadget_size(source: str, k: int, n: int, m: int) -> None:
-    """`_check_gen_size` for the gadget `reduce` builds from n vertices and m
-    edges, or n variables and m clauses. A set reduction joins
-    B = 2m + n(k - 1) blocks K_{k+1} (mds) or 2m + n(k - 2) blocks K_{k+2}
-    (mtds) to the source graph by one edge each. A k below 1 is left to the
-    reduction's own error."""
-    if k < 1:
-        return
-    if source == ONE_IN_THREE:
-        edges = m * (k + 2) * (k + 1) // 2 + n * ((k + 3) * (k + 2) // 2 - 1) + 3 * m
-        _check_gen_size((k + 3) * n + (k + 2) * m, edges)
-        return
-    size, extra = (k + 1, k - 1) if source == "mds" else (k + 2, k - 2)
-    blocks = 2 * m + n * extra
-    _check_gen_size(n + size * blocks, m + blocks * (size * (size - 1) // 2 + 1))
-
-
 def _cmd_reduce(args) -> int:
     text = _read_bytes(args.input)
     if args.source == ONE_IN_THREE:
-        formula = parse_cnf(text)
-        _check_gadget_size(ONE_IN_THREE, args.k, formula.num_vars, formula.num_clauses)
-        art = reduce_1in3(formula, args.k)
-        threshold_line = f"threshold: {art.threshold_value}"
+        source, reduce = parse_cnf(text), reduce_1in3
+        counts = source.num_vars, source.num_clauses
     else:
-        g = parse_graph(text)
-        _check_gadget_size(args.source, args.k, g.n, g.m)
-        art = (reduce_mtds if args.source == "mtds" else reduce_mds)(g, args.k)
-        off = art.threshold_offset
-        threshold_line = f"threshold: r -> 2r {'+' if off >= 0 else '-'} {abs(off)}"
+        source, reduce = parse_graph(text), (reduce_mtds if args.source == MTDS else reduce_mds)
+        counts = source.n, source.m
+    if args.k >= 1:  # a k below 1 is left to the reduction's own error
+        _check_gen_size(*gadget_size(args.source, args.k, *counts))
+    art = reduce(source, args.k)
     if args.output:
         base = Path(args.output)
         _write_text(base.with_suffix(".graph"), emit_graph(art.graph))
         _write_text(base.with_suffix(".prov"), emit_provenance(art))
-        sys.stdout.write(threshold_line + "\n")
     else:
         sys.stdout.write(emit_graph(art.graph))
         sys.stdout.write(emit_provenance(art))
-        sys.stdout.write(threshold_line + "\n")
+    if art.kind == ONE_IN_THREE:
+        sys.stdout.write(f"threshold: {art.threshold_value}\n")
+    else:
+        off = art.threshold_offset
+        sys.stdout.write(f"threshold: r -> 2r {'+' if off >= 0 else '-'} {abs(off)}\n")
     return EXIT_OK
 
 
@@ -429,6 +415,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        # A bug, not an answer: exit 1 would read as "infeasible".
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,33 +6,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import DegreeProfile, indicator, lower_bound
+from .bounds import DegreeProfile, bound_terms, lower_bound
 from .certify import Mode, SignFunction
 from .graph import Graph, _circle_factor
 
 
 def extremal_params(k: int, delta: int, Delta: int, mode: Mode) -> tuple[int, int]:
-    """Block side sizes (a, b) for the extremal construction.
-
-    Closed mode requires Delta >= delta >= k+1, total mode Delta >= delta >=
-    k+2; the indicator terms force a and b to be integers.
-    """
+    """Block side sizes (a, b) = ((den + num)/4, (den - num)/4) for the
+    extremal construction, from the bound's `bound_terms`: a block has den/2
+    vertices and weight num/2. Closed mode requires Delta >= delta >= k+1,
+    total mode Delta >= delta >= k+2."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if Delta < delta:
         raise ValueError("need Delta >= delta")
-    i_d = indicator(delta, k)
-    i_D = indicator(Delta, k)
-    if mode is Mode.CLOSED:
-        if delta < k + 1:
-            raise ValueError("closed-mode construction requires delta >= k+1")
-        a2, b2 = delta + k + 1 + i_d, Delta - k + 1 - i_D
-    else:
-        if delta < k + 2:
-            raise ValueError("total-mode construction requires delta >= k+2")
-        a2, b2 = delta + k - i_d + 1, Delta - k + i_D - 1
-    assert a2 % 2 == 0 and b2 % 2 == 0
-    a, b = a2 // 2, b2 // 2
+    if mode is Mode.CLOSED and delta < k + 1:
+        raise ValueError("closed-mode construction requires delta >= k+1")
+    if mode is Mode.TOTAL and delta < k + 2:
+        raise ValueError("total-mode construction requires delta >= k+2")
+    num, den = bound_terms(DegreeProfile(0, delta, Delta, k), mode)
+    assert (den + num) % 4 == (den - num) % 4 == 0
+    a, b = (den + num) // 4, (den - num) // 4
     assert 1 <= a <= delta and 1 <= b <= Delta
     return a, b
 

@@ -434,9 +434,13 @@ def parse_graph(text: str | bytes) -> Graph:
     return g
 
 
+_EMIT_BLOCK = 1 << 16  # rows per `%`: bounds the size of one argument tuple
+
+
 def _emit_rows(head: str, line: str, rows: np.ndarray) -> str:
-    """head, then `line` formatted with each row of rows, all by one `%`."""
-    return head + (line * len(rows)) % tuple(rows.ravel().tolist())
+    """head, then `line` formatted with each row of rows, one `%` a block."""
+    blocks = (rows[i:i + _EMIT_BLOCK] for i in range(0, len(rows), _EMIT_BLOCK))
+    return head + "".join((line * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def emit_graph(g: Graph) -> str:

@@ -30,7 +30,13 @@ class ThreeSatFormula:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("formula needs at least one variable")
-        for clause in self.clauses:
+        try:
+            lits = np.array(self.clauses, dtype=np.int64).reshape(len(self.clauses), 3)
+            if not _bad_clauses(lits, self.num_vars).any():
+                return
+        except (TypeError, ValueError, OverflowError):  # ragged, or not 3 wide
+            pass
+        for clause in self.clauses:  # only on the error path: name the first bad clause
             if len(clause) != 3 or len(set(clause)) != 3:
                 raise ValueError(f"clause {clause} must have 3 distinct variables")
             for x in clause:
@@ -40,6 +46,12 @@ class ThreeSatFormula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+
+def _bad_clauses(lits: np.ndarray, n: int) -> np.ndarray:
+    """Rows of the (m, 3) literal array that are not 3 distinct variables of 1..n."""
+    a, b, c = lits.T
+    return (lits < 1).any(axis=1) | (lits > n).any(axis=1) | (a == b) | (a == c) | (b == c)
 
 
 # Clause lines in the form `a b c 0`, each literal with at most 7 digits.
@@ -77,11 +89,7 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
     if n < 1:
         raise GraphFormatError("formula needs at least one variable", header_line)
     lits = rows[:, :3]
-    a, b, c = lits.T
-    wrong = np.flatnonzero(
-        (rows[:, 3] != 0) | (lits < 1).any(axis=1) | (lits > n).any(axis=1)
-        | (a == b) | (a == c) | (b == c)
-    )
+    wrong = np.flatnonzero((rows[:, 3] != 0) | _bad_clauses(lits, n))
     if wrong.size:
         lineno = linenos[int(wrong[0])]
         raise GraphFormatError(_clause_error(_line_fields(text, lineno), n), lineno)
@@ -174,40 +182,60 @@ def _cliques(bases: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.column_stack(((bases[:, None] + x).ravel(), (bases[:, None] + y).ravel()))
 
 
-def _attach_blocks(
-    g: Graph, block_size: int, counts: np.ndarray
-) -> tuple[Graph, int, tuple]:
-    """Shared machinery for the two set reductions: vertex v gets counts[v]
-    disjoint complete blocks, each joined to v by one edge from the block's
-    local vertex 0. The blocks follow the source vertices, in order of owner.
-    Returns the gadget, T and the label columns."""
-    if g.n == 0 or g.min_degree == 0:
-        raise InvalidSourceError("reduction input must have no isolated vertices")
-    n0 = g.n
-    blocks = int(counts.sum())
-    owner = np.repeat(np.arange(n0), counts)
-    bases = n0 + block_size * np.arange(blocks)
-    edges = np.concatenate((
-        np.column_stack(g._edge_columns()),
-        _cliques(bases, *np.triu_indices(block_size, 1)),
-        np.column_stack((owner, bases)),
-    ))
-    h = Graph(n0 + block_size * blocks, edges)
-    number = np.arange(blocks) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    labels = (
-        ("original", (np.arange(1, n0 + 1),)),
-        ("clique_block", (
-            np.repeat(owner + 1, block_size),
-            np.repeat(number, block_size),
-            np.tile(np.arange(block_size), blocks),
-        )),
-    )
-    return h, block_size * blocks, labels
+def _block_shape(kind: str, k: int) -> tuple[int, int]:
+    """(s, e) of a set reduction: vertex v gets d(v) + e blocks K_s."""
+    return (k + 1, k - 1) if kind == MDS else (k + 2, k - 2)
+
+
+def gadget_size(kind: str, k: int, n: int, m: int) -> tuple[int, int]:
+    """(vertices, edges) of the `kind` gadget for k >= 1, from n vertices and
+    m edges, or n variables and m clauses. A set reduction joins 2m + n*e
+    blocks K_s, (s, e) from `_block_shape`, to the source by one edge each."""
+    if kind == ONE_IN_THREE:
+        edges = m * (k + 2) * (k + 1) // 2 + n * ((k + 3) * (k + 2) // 2 - 1) + 3 * m
+        return (k + 3) * n + (k + 2) * m, edges
+    size, extra = _block_shape(kind, k)
+    blocks = 2 * m + n * extra
+    return n + size * blocks, m + blocks * (size * (size - 1) // 2 + 1)
 
 
 class InvalidSourceError(ValueError):
     """The input graph, formula, or solution violates a reduction
     precondition."""
+
+
+def _reduce_set(kind: str, g: Graph, k: int) -> ReductionArtifact:
+    """The two set reductions: vertex v gets d(v) + e blocks K_s, (s, e) from
+    `_block_shape`, each joined to v by one edge from the block's local
+    vertex 0. The blocks follow the source vertices, in order of owner."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if g.n == 0 or g.min_degree == 0:
+        raise InvalidSourceError("reduction input must have no isolated vertices")
+    size, extra = _block_shape(kind, k)
+    n0, degrees = g.n, g._degrees()
+    counts = degrees + extra
+    blocks = int(counts.sum())
+    owner = np.repeat(np.arange(n0), counts)
+    bases = n0 + size * np.arange(blocks)
+    edges = np.concatenate((
+        np.column_stack(g._edge_columns()),
+        _cliques(bases, *np.triu_indices(size, 1)),
+        np.column_stack((owner, bases)),
+    ))
+    h = Graph(n0 + size * blocks, edges)
+    assert (h._degrees()[:n0] == 2 * degrees + extra).all()
+    assert (h.n, h.m) == gadget_size(kind, k, n0, g.m)
+    number = np.arange(blocks) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    labels = (
+        ("original", (np.arange(1, n0 + 1),)),
+        ("clique_block", (
+            np.repeat(owner + 1, size),
+            np.repeat(number, size),
+            np.tile(np.arange(size), blocks),
+        )),
+    )
+    return ReductionArtifact(kind, k, h, size * blocks, labels, source_graph=g)
 
 
 def reduce_mtds(g: Graph, k: int) -> ReductionArtifact:
@@ -216,13 +244,7 @@ def reduce_mtds(g: Graph, k: int) -> ReductionArtifact:
     Per vertex v, attach d(v)+k-2 copies of K_{k+2}, one edge each to v.
     gamma_t(g) <= r iff sigma_tkS(H) <= 2r - |V(g)| + T.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    degrees = g._degrees()
-    h, t_total, labels = _attach_blocks(g, k + 2, degrees + k - 2)
-    assert (h._degrees()[:g.n] == 2 * degrees + k - 2).all()
-    assert t_total == (k + 2) * int((degrees + k - 2).sum())
-    return ReductionArtifact(MTDS, k, h, t_total, labels, source_graph=g)
+    return _reduce_set(MTDS, g, k)
 
 
 def reduce_mds(g: Graph, k: int) -> ReductionArtifact:
@@ -231,12 +253,7 @@ def reduce_mds(g: Graph, k: int) -> ReductionArtifact:
     Per vertex v, attach d(v)+k-1 copies of K_{k+1}, one edge each to v.
     gamma(g) <= r iff sigma_kS(H) <= 2r - |V(g)| + T.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    degrees = g._degrees()
-    h, t_total, labels = _attach_blocks(g, k + 1, degrees + k - 1)
-    assert t_total == (k + 1) * int((degrees + k - 1).sum())
-    return ReductionArtifact(MDS, k, h, t_total, labels, source_graph=g)
+    return _reduce_set(MDS, g, k)
 
 
 def reduce_1in3(formula: ThreeSatFormula, k: int) -> ReductionArtifact:
@@ -270,7 +287,7 @@ def reduce_1in3(formula: ThreeSatFormula, k: int) -> ReductionArtifact:
             np.repeat(np.arange(1, n + 1), var_size), np.tile(np.arange(var_size), n),
         )),
     )
-    assert h.n == (k + 3) * n + (k + 2) * m
+    assert (h.n, h.m) == gadget_size(ONE_IN_THREE, k, n, m)
     return ReductionArtifact(
         ONE_IN_THREE,
         k,

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .bounds import parity_ceil
+from .bounds import indicator, parity_ceil
 from .certify import (
     Mode,
     SignFunction,
@@ -270,12 +270,10 @@ def bnb_sigma(
     if k < 1:
         raise ValueError("k must be a positive integer")
     n = g.n
-    if n == 0:
-        return SolveResult(OPTIMAL, 0, SignFunction(()), 1)
     ptr, dst = _mode_rows(g, mode)
     flat, ends = dst.tolist(), ptr.tolist()
     nbhd = [flat[a:b] for a, b in zip(ends, ends[1:])]
-    thr = [k if (len(a) - k) % 2 == 0 else k + 1 for a in nbhd]
+    thr = [k + 1 - indicator(len(a), k) for a in nbhd]
     slack = [len(a) - t for a, t in zip(nbhd, thr)]
     assign = [0] * n
     trail: list[int] = []

@@ -115,6 +115,12 @@ class TestNearlyRegular:
         with pytest.raises(ValueError):
             nearly_regular_bound(10, 1, 2, Mode.CLOSED)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_total_mode_needs_r_above_k(self, k):
+        # r = k gives minimum degree k - 1 < k, where sigma_tkS is undefined.
+        with pytest.raises(ValueError, match="total mode requires delta >= k"):
+            nearly_regular_bound(12, k, k, Mode.TOTAL)
+
 
 class TestThresholdCheck:
     def test_zero_c_reduces_to_nonnegativity_condition(self):

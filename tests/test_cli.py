@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdom import Mode, cycle, emit_certificate, emit_graph, one_factorization, path, SignFunction
+from sgdom import cli
 from sgdom.cli import main
 
 
@@ -303,6 +304,16 @@ class TestReduce:
 
 
 class TestUsage:
+    def test_crash_is_internal_error(self, c5_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "bnb_sigma", crash)
+        assert main(["solve", "--k", "1", c5_path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

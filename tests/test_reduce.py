@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -24,13 +25,16 @@ from sgdom import (
     reduce_mtds,
     verify,
 )
+from sgdom import graph as graph_module
+from sgdom.certify import emit_certificate
 from sgdom.graph import Graph, GraphFormatError, emit_graph
-from sgdom.reductions import InvalidSourceError, emit_provenance
+from sgdom.reductions import InvalidSourceError, emit_provenance, gadget_size
 
 from conftest import (
     all_signs,
     feasible,
     loop_1in3_gadget,
+    loop_certificate_text,
     loop_graph_text,
     loop_provenance_text,
     loop_set_gadget,
@@ -47,6 +51,21 @@ class TestFormula:
     def test_rejects_out_of_range_variable(self):
         with pytest.raises(ValueError):
             ThreeSatFormula(3, ((1, 2, 4),))
+
+    @pytest.mark.parametrize(
+        "clauses, message",
+        [
+            (((1, 2),), "clause (1, 2) must have 3 distinct variables"),
+            (((1, 2), (2, 3), (1, 3)), "clause (1, 2) must have 3 distinct variables"),
+            (((1, 2, 3), (1, 2, 3, 1)), "clause (1, 2, 3, 1) must have 3 distinct variables"),
+            (((1, 2, 3), (3, 0, 9)), "variable 0 out of range in clause (3, 0, 9)"),
+            (((1, 2, 3), (3, 10**30, 2)), f"variable {10**30} out of range in clause"),
+        ],
+        ids=["short", "all-short", "ragged", "range", "huge"],
+    )
+    def test_names_the_first_bad_clause(self, clauses, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ThreeSatFormula(3, clauses)
 
     def test_parse_cnf(self):
         formula = parse_cnf("c comment\np cnf 4 2\n1 2 3 0\n2 3 4 0\n")
@@ -227,7 +246,9 @@ class TestArrayBuilders:
         rng = random.Random(f"{kind}-{k}")
         for n, p in [(2, 0.0), (3, 1.0), (7, 0.3), (20, 0.2), (60, 0.05)]:
             g = random_connected_graph(rng, n, p)
-            _assert_matches_reference(reduce(g, k), *loop_set_gadget(g, k, kind))
+            reference = loop_set_gadget(g, k, kind)
+            _assert_matches_reference(reduce(g, k), *reference)
+            assert gadget_size(kind, k, g.n, g.m) == (reference[0].n, reference[0].m)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_1in3_reduction(self, k):
@@ -235,7 +256,24 @@ class TestArrayBuilders:
         for num_vars, m in [(1, 0), (3, 1), (5, 4), (12, 20)]:
             clauses = tuple(tuple(rng.sample(range(1, num_vars + 1), 3)) for _ in range(m))
             formula = ThreeSatFormula(num_vars, clauses)
-            _assert_matches_reference(reduce_1in3(formula, k), *loop_1in3_gadget(formula, k))
+            reference = loop_1in3_gadget(formula, k)
+            _assert_matches_reference(reduce_1in3(formula, k), *reference)
+            assert gadget_size("1in3", k, num_vars, m) == (reference[0].n, reference[0].m)
+
+    def test_text_written_in_blocks(self, monkeypatch):
+        """With two rows per `%`, every writer still joins its blocks into
+        the text of the per-line references."""
+        monkeypatch.setattr(graph_module, "_EMIT_BLOCK", 2)
+        formula = ThreeSatFormula(3, ((1, 2, 3),))
+        for art, (graph, _, provenance) in [
+            (reduce_mds(path(3), 2), loop_set_gadget(path(3), 2, "mds")),
+            (reduce_1in3(formula, 1), loop_1in3_gadget(formula, 1)),
+        ]:
+            assert emit_graph(art.graph) == loop_graph_text(graph)
+            assert emit_provenance(art) == loop_provenance_text(provenance)
+        for values in [(), (1,), (1, -1), (-1, 1, 1, -1, 1)]:
+            f = SignFunction(values)
+            assert emit_certificate(f, 2, Mode.TOTAL) == loop_certificate_text(f, 2, Mode.TOTAL)
 
 
 class TestSatConstruction:

@@ -9,6 +9,7 @@ import pytest
 from sgdom import (
     Graph,
     Mode,
+    SignFunction,
     ThreeSatFormula,
     bnb_sigma,
     brute_force_sigma,
@@ -24,7 +25,7 @@ from sgdom import (
     verify,
 )
 from sgdom import solve
-from sgdom.bounds import indicator
+from sgdom.bounds import DegreeProfile, bound_terms, indicator, lower_bound
 from sgdom.solve import CAP_EXCEEDED, INFEASIBLE, OPTIMAL, CapExceededError, InfeasibleError
 
 from conftest import (
@@ -218,6 +219,15 @@ class TestBranchAndBound:
         result = bnb_sigma(cycle(5), 10**23, mode)
         assert (result.status, result.nodes_explored) == (INFEASIBLE, 0)
 
+    @pytest.mark.parametrize("k", [1, 3, 10**23])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_empty_graph_is_one_node(self, mode, k):
+        # No special case: the root is a complete assignment, so it counts
+        # against the node budget like any other root.
+        result = bnb_sigma(Graph(0), k, mode)
+        assert result == solve.SolveResult(OPTIMAL, 0, SignFunction(()), 1)
+        assert bnb_sigma(Graph(0), k, mode, node_budget=0).status == CAP_EXCEEDED
+
     def test_extremal_instance(self):
         from sgdom import ExtremalSpec, build_extremal
 
@@ -316,6 +326,27 @@ def lagrangian_instance(g, k, mode):
 
 
 class TestLagrangianBound:
+    def test_theorem_is_a_point_of_the_dual(self, rng):
+        """L at the uniform multipliers y = 2/den, which one ascent step
+        evaluates, is never below the paper's bound n*num/den."""
+        checked = 0
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(3, 16), rng.choice([0.3, 0.5, 0.8]))
+            for k in (1, 2, 3):
+                for mode in (Mode.CLOSED, Mode.TOTAL):
+                    profile = DegreeProfile.of_graph(g, k)
+                    try:
+                        _, den = bound_terms(profile, mode)
+                    except ValueError:
+                        continue
+                    src, dst, thr = lagrangian_instance(g, k, mode)
+                    bound, _ = solve._dual_ascent(
+                        np.full(g.n, 2 / den), src, dst, thr, np.ones(g.n), 0, g.n + 2, 1
+                    )
+                    assert bound >= float(lower_bound(profile, mode)) - 1e-9
+                    checked += 1
+        assert checked >= 400
+
     def test_root_bound_is_below_lp_and_optimum(self, rng):
         """Weak duality against scipy's LP, and the parity-rounded bound
         against the brute-force optimum, with an incumbent two above it so
