@@ -1,7 +1,7 @@
 """Command-line surface: solve, verify, bound, gen, reduce, xcheck.
 
 Exit codes: 0 success, 1 infeasible or failed check, 2 format/usage error,
-3 resource cap exceeded, 4 internal error.
+3 resource cap exceeded, 4 internal error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +47,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
 
 
 def _record(**fields) -> dict:
@@ -102,14 +104,15 @@ def _cmd_solve(args) -> int:
     if args.param == "upper" and mode is not Mode.CLOSED:
         raise ValueError("upper signed k-domination is defined only in closed mode")
     g = _read_graph(args.graph)
-    name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     if args.param == "upper":
         result = brute_force_upper(g, args.k, max_n=args.max_brute_n)
         name = "gamma_ks"
     elif args.algo == "bnb":
         result = bnb_sigma(g, args.k, mode, node_budget=args.node_budget)
+        name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     else:
         result = brute_force_sigma(g, args.k, mode, max_n=args.max_brute_n)
+        name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     lines = [f"status = {result.status}"]
     if result.value is not None:
         lines.insert(0, f"{name} = {result.value}")
@@ -415,6 +418,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout (`sgd gen ... | head`): stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # drop the unflushed rest
+        return EXIT_PIPE
     except Exception as exc:
         # A bug, not an answer: exit 1 would read as "infeasible".
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")

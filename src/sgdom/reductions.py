@@ -30,13 +30,7 @@ class ThreeSatFormula:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("formula needs at least one variable")
-        try:
-            lits = np.array(self.clauses, dtype=np.int64).reshape(len(self.clauses), 3)
-            if not _bad_clauses(lits, self.num_vars).any():
-                return
-        except (TypeError, ValueError, OverflowError):  # ragged, or not 3 wide
-            pass
-        for clause in self.clauses:  # only on the error path: name the first bad clause
+        for clause in self.clauses:
             if len(clause) != 3 or len(set(clause)) != 3:
                 raise ValueError(f"clause {clause} must have 3 distinct variables")
             for x in clause:

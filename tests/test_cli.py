@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -313,6 +315,19 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: boom\n"
+
+    def test_closed_stdout_is_not_a_crash(self):
+        """A reader that stops early (`sgd gen ... | head`) ends the writer
+        quietly with 128 + SIGPIPE, not as an internal error."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "sgdom.cli", "gen", "onefactor", "--n", "600"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:  # about 1.8 MB of rounds, more than a pipe holds
+            assert proc.stdout.readline().startswith(b"round 1: (1,600) ")
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait() == 141
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -60,8 +60,9 @@ class TestFormula:
             (((1, 2, 3), (1, 2, 3, 1)), "clause (1, 2, 3, 1) must have 3 distinct variables"),
             (((1, 2, 3), (3, 0, 9)), "variable 0 out of range in clause (3, 0, 9)"),
             (((1, 2, 3), (3, 10**30, 2)), f"variable {10**30} out of range in clause"),
+            (((1, 2, 3.5),), "variable 3.5 out of range in clause (1, 2, 3.5)"),
         ],
-        ids=["short", "all-short", "ragged", "range", "huge"],
+        ids=["short", "all-short", "ragged", "range", "huge", "non-integer"],
     )
     def test_names_the_first_bad_clause(self, clauses, message):
         with pytest.raises(ValueError, match=re.escape(message)):
