@@ -36,6 +36,8 @@ class ThreeSatFormula:
             for x in clause:
                 if not (1 <= x <= self.num_vars):
                     raise ValueError(f"variable {x} out of range in clause {clause}")
+                if not isinstance(x, (int, np.integer)):
+                    raise ValueError(f"variable {x} is not an integer in clause {clause}")
 
     @property
     def num_clauses(self) -> int:

@@ -62,23 +62,23 @@ def _mode_matrix(g: Graph, mode: Mode) -> np.ndarray:
 
 
 def _part_table(m: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """All sign patterns of vertices start..stop-1, zero on every other vertex,
-    with their neighbourhood sums; both are vertex-major (n x 2^width).
+    """Neighbourhood sums (n x 2^width) of every sign pattern of vertices
+    start..stop-1, zero on every other vertex, and its number of +1s.
 
-    Columns are in lexicographic order: vertex `start` is the most
-    significant bit and bit 0 encodes -1, so column order is lexicographic
-    with -1 < +1.
+    Columns are in lexicographic order with -1 < +1: vertex `start` is the
+    most significant bit, and bit 0 encodes -1.
     """
     width = stop - start
-    bits = (np.arange(1 << width) >> np.arange(width - 1, -1, -1)[:, None]) & 1
-    signs = np.zeros((m.shape[0], 1 << width), dtype=np.int16)
-    signs[start:stop] = 2 * bits - 1
-    # Doubling: prepending vertex u as the most significant bit puts the
-    # table once with u = -1 and then once with u = +1.
-    sums = np.zeros((m.shape[0], 1), dtype=np.int16)
+    sums = np.empty((m.shape[0], 1 << width), dtype=np.int16)
+    plus = np.zeros(1 << width, dtype=np.int8)
+    sums[:, 0] = -m[:, start:stop].sum(axis=1)
+    # Doubling: making vertex u the most significant bit keeps the table
+    # for u = -1 and appends a copy with u = +1, which adds 2 m[:, u].
     for u in range(stop - 1, start - 1, -1):
-        sums = np.hstack((sums - m[:, u, None], sums + m[:, u, None]))
-    return signs, sums
+        s = 1 << (stop - 1 - u)
+        np.add(sums[:, :s], 2 * m[:, u, None], out=sums[:, s : 2 * s])
+        plus[s : 2 * s] = plus[:s] + 1
+    return sums, plus
 
 
 def _first_optimum(
@@ -109,17 +109,17 @@ def _first_optimum(
     low = min(_LOW_BITS, n)
     high = n - low
     m = _mode_matrix(g, mode)
-    adjacency = m > 0
-    lo_signs, lo_sums = _part_table(m, high, n)
-    hi_signs, hi_sums = _part_table(m, 0, high)
+    lo_sums, lo_plus = _part_table(m, high, n)
+    hi_sums, hi_plus = _part_table(m, 0, high)
     # key = weight for sigma and -weight for Gamma; the search minimises it.
+    # It is sorted as int8, which makes the stable argsort a radix sort, and
+    # searched as int64, which a Python int bound meets without a cast.
     sense = -1 if upper else 1
-    lo_key = sense * lo_signs.sum(axis=0, dtype=np.int64)
+    lo_key = sense * (2 * lo_plus - low)
     order = np.argsort(lo_key, kind="stable")
-    # take() keeps the tables C-contiguous; a[:, order] would not.
-    lo_key, lo_sums = lo_key[order], lo_sums.take(order, axis=1)
-    lo_plus = lo_signs.take(order, axis=1) > 0
-    hi_key = sense * hi_signs.sum(axis=0, dtype=np.int64)
+    # take() keeps the table C-contiguous; a[:, order] would not.
+    lo_key, lo_sums = lo_key[order].astype(np.int64), lo_sums.take(order, axis=1)
+    hi_key = (sense * (2 * hi_plus - high)).tolist()
     best_key: int | None = None
     best_index: int | None = None
     for p in range(1 << high):
@@ -132,12 +132,12 @@ def _first_optimum(
         ok = (lo_sums[:, :cols] >= k - hi).all(axis=0)
         if upper:
             # Minimal iff every +1 vertex has a closed neighbour whose sum
-            # is k or k+1.
+            # is k or k+1; the signs are the bits of the index.
             (cand,) = np.nonzero(ok)
             sums = lo_sums[:, cand] + hi
             tight = (sums == k) | (sums == k + 1)
-            plus = lo_plus[:, cand] | (hi_signs[:, p, None] > 0)
-            ok[cand] = ((adjacency @ tight) | ~plus).all(axis=0)
+            bits = ((p << low | order[cand]) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+            ok[cand] = (((m > 0) @ tight) | (bits == 0)).all(axis=0)
         if not ok.any():
             continue
         q = int(ok.argmax())

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +137,27 @@ def assert_first_optimum(result, g, k, mode, upper=False):
         assert result.status == OPTIMAL
         assert result.certificate.values == expected
         assert result.value == sum(expected)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_part_table_is_every_pattern_with_its_sums_and_plus_count(rng, mode):
+    """Column j of _part_table(m, start, stop) is the j-th lexicographic sign
+    pattern of vertices start..stop-1, zero on the others: its N_mode sums,
+    with N_mode built from the edge list alone, and its number of +1s."""
+    for _ in range(20):
+        n = rng.randint(0, 10)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        m = np.eye(n, dtype=np.int16) if mode is Mode.CLOSED else np.zeros((n, n), np.int16)
+        for u, v in edges:
+            m[u, v] = m[v, u] = 1
+        for start in range(n + 1):
+            for stop in range(start, min(n, start + 6) + 1):
+                patterns = list(product((-1, 1), repeat=stop - start))
+                signs = np.zeros((n, len(patterns)), dtype=np.int64)
+                signs[start:stop] = np.reshape(patterns, (len(patterns), stop - start)).T
+                sums, plus = solve._part_table(m, start, stop)
+                assert np.array_equal(sums, m.astype(np.int64) @ signs)
+                assert plus.tolist() == [pattern.count(1) for pattern in patterns]
 
 
 class TestSplitEnumeration:
