@@ -34,9 +34,12 @@ class ThreeSatFormula:
             if len(clause) != 3 or len(set(clause)) != 3:
                 raise ValueError(f"clause {clause} must have 3 distinct variables")
             for x in clause:
-                if not (1 <= x <= self.num_vars):
+                # bool is an int, but True names no variable.
+                integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                number = integer or isinstance(x, (float, np.floating))
+                if number and not (1 <= x <= self.num_vars):
                     raise ValueError(f"variable {x} out of range in clause {clause}")
-                if not isinstance(x, (int, np.integer)):
+                if not integer:
                     raise ValueError(f"variable {x} is not an integer in clause {clause}")
 
     @property

@@ -154,6 +154,20 @@ def _certificate_at(index: int, n: int) -> SignFunction:
     )
 
 
+def _optimal(
+    g: Graph, k: int, mode: Mode, value: int, f: SignFunction, nodes: int, upper: bool = False
+) -> SolveResult:
+    """The postcondition of both solvers: an optimal result, returned only
+    once its certificate proves the value (and, for Gamma, is minimal)."""
+    if (
+        f.weight != value
+        or not verify(g, k, mode, f).feasible
+        or (upper and not is_minimal_skdf(g, k, f).minimal)
+    ):
+        raise RuntimeError(f"certificate {f.values} does not prove value {value}")
+    return SolveResult(OPTIMAL, value, f, nodes)
+
+
 def _brute_force(
     g: Graph, k: int, mode: Mode, upper: bool, max_n: int
 ) -> SolveResult:
@@ -167,17 +181,7 @@ def _brute_force(
     if optimum is None:
         return SolveResult(INFEASIBLE, None, None, 1 << n)
     value, index = optimum
-    f = _certificate_at(index, n)
-    # Postcondition: the certificate proves the value it reports.
-    if (
-        f.weight != value
-        or not verify(g, k, mode, f).feasible
-        or (upper and not is_minimal_skdf(g, k, f).minimal)
-    ):
-        raise RuntimeError(
-            f"brute force certificate {f.values} does not prove value {value}"
-        )
-    return SolveResult(OPTIMAL, value, f, 1 << n)
+    return _optimal(g, k, mode, value, _certificate_at(index, n), 1 << n, upper)
 
 
 def brute_force_sigma(
@@ -263,8 +267,9 @@ def bnb_sigma(
     Nodes are pruned against the incumbent by Lagrangian bounds rounded up to
     the parity of n (see `_dual_ascent`), whose multipliers are tuned at the
     first node that needs them and warm-started down the search. The search
-    is an explicit stack, so its depth is not limited by Python's recursion
-    limit. Always agrees with brute_force_sigma on the value; the certificate
+    is one loop over a stack of child records, so its depth is not limited
+    by Python's recursion limit; a child whose unit rule conflicts is not
+    counted as a node. Always agrees with brute_force_sigma on the value; the certificate
     is the first optimal leaf in branch order (degree order, -1 before +1).
     """
     if k < 1:
@@ -285,14 +290,6 @@ def bnb_sigma(
             for v in nbhd[u]:
                 slack[v] -= 2
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            u = trail.pop()
-            if assign[u] < 0:
-                for v in nbhd[u]:
-                    slack[v] += 2
-            assign[u] = 0
-
     def unit(v: int) -> bool:
         """The whole propagation rule at v; False on a conflict."""
         if slack[v] < 0:
@@ -302,9 +299,6 @@ def bnb_sigma(
                 if assign[u] == 0:
                     place(u, 1)
         return True
-
-    if not all(unit(v) for v in range(n)):
-        return SolveResult(INFEASIBLE, None, None, 0)
 
     # |N[v]| = degree + 1, so both modes branch in (degree, v) order.
     sizes = np.diff(ptr)
@@ -316,24 +310,36 @@ def bnb_sigma(
     best_w: int | None = None
     best_f: SignFunction | None = None
     root_y: np.ndarray | None = None
-    # A frame is [branch vertex, next value, trail mark, order position, y]:
-    # y are the node's tuned multipliers (None before any incumbent) and the
-    # order position is where the search for an undecided vertex resumes.
-    stack: list[list] = []
-
-    def enter(pos: int, y: np.ndarray | None) -> bool:
-        """Count the current node, then record it as the incumbent, prune it
-        or push its frame. False once the node budget is spent."""
-        nonlocal nodes, best_w, best_f, root_y
+    # A record is a node still to visit: (branch vertex, its value, the
+    # parent's trail mark, the order position where the search for an
+    # undecided vertex resumes, the parent's tuned multipliers or None before
+    # any incumbent). The root is the record with no vertex.
+    stack: list[tuple] = [(None, 0, 0, 0, None)]
+    while stack:
+        u, val, mark, pos, y = stack.pop()
+        # Back to the parent's assignment, then the child's own step.
+        while len(trail) > mark:
+            v = trail.pop()
+            if assign[v] < 0:
+                for t in nbhd[v]:
+                    slack[t] += 2
+            assign[v] = 0
+        if u is None:
+            touched = range(n)
+        else:
+            place(u, val)
+            touched = nbhd[u] if val < 0 else ()
+        if not all(unit(v) for v in touched):
+            continue
         nodes += 1
         if nodes > node_budget:
-            return False
+            return SolveResult(CAP_EXCEEDED, best_w, best_f, nodes)
         w, free_total = sum(assign), n - len(trail)
         if best_w is not None and w - free_total >= best_w:
-            return True
+            continue
         if free_total == 0:
             best_w, best_f = w, SignFunction(tuple(assign))
-            return True
+            continue
         if best_w is not None:
             x = np.array(assign)
             rhs = thr_arr - np.bincount(src, weights=x[dst], minlength=n)
@@ -346,36 +352,16 @@ def bnb_sigma(
                 y = root_y
             bound, y = _dual_ascent(y, src, dst, rhs, free, w, best_w, _NODE_STEPS)
             if _parity_ceil(bound, n) >= best_w:
-                return True
+                continue
         while assign[order[pos]] != 0:
             pos += 1
-        stack.append([order[pos], -1, len(trail), pos, y])
-        return True
+        # The -1 child is pushed last, so it is searched first.
+        mark = len(trail)
+        stack += [(order[pos], 1, mark, pos, y), (order[pos], -1, mark, pos, y)]
 
-    capped = not enter(0, None)
-    while stack and not capped:
-        frame = stack[-1]
-        undo(frame[2])
-        val = frame[1]
-        if val > 1:
-            stack.pop()
-        else:
-            frame[1] = val + 2
-            u = frame[0]
-            place(u, val)
-            if val > 0 or all(unit(v) for v in nbhd[u]):
-                capped = not enter(frame[3], frame[4])
-
-    if capped:
-        return SolveResult(CAP_EXCEEDED, best_w, best_f, nodes)
     if best_w is None:
         return SolveResult(INFEASIBLE, None, None, nodes)
-    # Postcondition: the certificate proves the value it reports.
-    if best_f.weight != best_w or not verify(g, k, mode, best_f).feasible:
-        raise RuntimeError(
-            f"branch-and-bound certificate {best_f.values} does not prove value {best_w}"
-        )
-    return SolveResult(OPTIMAL, best_w, best_f, nodes)
+    return _optimal(g, k, mode, best_w, best_f, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,13 @@ class TestFormula:
             (((1, 2, 3), (3, 10**30, 2)), f"variable {10**30} out of range in clause"),
             (((1, 2, 3.5),), "variable 3.5 out of range in clause (1, 2, 3.5)"),
             (((1.5, 2, 3),), "variable 1.5 is not an integer in clause (1.5, 2, 3)"),
+            ((("1", "2", "3"),), "variable 1 is not an integer in clause ('1', '2', '3')"),
+            (((True, 2, 3),), "variable True is not an integer in clause (True, 2, 3)"),
         ],
-        ids=["short", "all-short", "ragged", "range", "huge", "non-integer", "fraction"],
+        ids=[
+            "short", "all-short", "ragged", "range", "huge", "non-integer", "fraction",
+            "string", "bool",
+        ],
     )
     def test_names_the_first_bad_clause(self, clauses, message):
         with pytest.raises(ValueError, match=re.escape(message)):

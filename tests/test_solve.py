@@ -215,6 +215,16 @@ class TestSplitEnumeration:
                 brute_force_sigma(cycle(5), 1, Mode.CLOSED)
 
 
+# C12 and the graphs of TestBranchAndBound.test_pinned_certificates.
+BUDGET_GRAPHS = {
+    "C12": cycle(12),
+    "G24": random_graph(random.Random(24), 24, 0.3),
+    "G26": random_graph(random.Random(26), 26, 0.25),
+    "G28": random_graph(random.Random(28), 28, 0.25),
+    "G30": random_graph(random.Random(30), 30, 0.2),
+}
+
+
 class TestBranchAndBound:
     def test_matches_brute_force(self, rng):
         for _ in range(60):
@@ -256,9 +266,38 @@ class TestBranchAndBound:
         g, _ = build_extremal(ExtremalSpec(1, 2, 3, 4, Mode.CLOSED))
         assert bnb_sigma(g, 1, Mode.CLOSED).value == 4
 
-    def test_node_budget(self):
-        result = bnb_sigma(cycle(12), 1, Mode.CLOSED, node_budget=3)
-        assert result.status == CAP_EXCEEDED
+    @pytest.mark.parametrize(
+        "graph,k,mode,budget,status,value,signs,nodes",
+        [
+            ("C12", 1, Mode.CLOSED, 3, CAP_EXCEEDED, None, None, 4),
+            ("G24", 1, Mode.CLOSED, 3, CAP_EXCEEDED, None, None, 4),
+            ("G24", 1, Mode.CLOSED, 10, CAP_EXCEEDED, 6, "----++-++++++++++-+---++", 11),
+            ("G24", 1, Mode.CLOSED, 20, CAP_EXCEEDED, 6, "----++-++++++++++-+---++", 21),
+            ("G26", 2, Mode.TOTAL, 3, CAP_EXCEEDED, None, None, 4),
+            ("G26", 2, Mode.TOTAL, 10, CAP_EXCEEDED, 12, "--++++++++-++--++-+++++-++", 11),
+            # The whole tree has 15 nodes, so a budget of 20 does not cut it.
+            ("G26", 2, Mode.TOTAL, 20, OPTIMAL, 12, "--++++++++-++--++-+++++-++", 15),
+            ("G28", 1, Mode.TOTAL, 3, CAP_EXCEEDED, None, None, 4),
+            ("G28", 1, Mode.TOTAL, 10, CAP_EXCEEDED, None, None, 11),
+            ("G28", 1, Mode.TOTAL, 20, CAP_EXCEEDED, 4, "+--+-++-+--++-----++++++++-+", 21),
+            ("G30", 1, Mode.CLOSED, 3, CAP_EXCEEDED, None, None, 4),
+            ("G30", 1, Mode.CLOSED, 10, CAP_EXCEEDED, None, None, 11),
+            # The incumbent is not optimal: sigma is 6.
+            ("G30", 1, Mode.CLOSED, 20, CAP_EXCEEDED, 8, "--+++-+-+--+++++-+++++++-++---", 21),
+        ],
+        ids=[
+            "C12-3", "G24-3", "G24-10", "G24-20", "G26-3", "G26-10", "G26-20",
+            "G28-3", "G28-10", "G28-20", "G30-3", "G30-10", "G30-20",
+        ],
+    )
+    def test_node_budget(self, graph, k, mode, budget, status, value, signs, nodes):
+        # A search that the budget cuts short counts one node past it and
+        # reports the incumbent it holds, optimal or not.
+        result = bnb_sigma(BUDGET_GRAPHS[graph], k, mode, node_budget=budget)
+        certificate = None if signs is None else SignFunction(
+            tuple(1 if c == "+" else -1 for c in signs)
+        )
+        assert result == solve.SolveResult(status, value, certificate, nodes)
 
     def test_matches_brute_force_on_mid_sized_graphs(self, rng):
         # Orders where the Lagrangian bound prunes most of the tree.
