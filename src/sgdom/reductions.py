@@ -31,7 +31,11 @@ class ThreeSatFormula:
         if self.num_vars < 1:
             raise ValueError("formula needs at least one variable")
         for clause in self.clauses:
-            if len(clause) != 3 or len(set(clause)) != 3:
+            try:
+                distinct = len(clause) == 3 and len(set(clause)) == 3
+            except TypeError:  # 5 has no length; ([1], 2, 3) cannot be hashed
+                distinct = False
+            if not distinct:
                 raise ValueError(f"clause {clause} must have 3 distinct variables")
             for x in clause:
                 # bool is an int, but True names no variable.

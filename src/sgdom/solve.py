@@ -101,6 +101,13 @@ def _first_optimum(
     only when strictly better, which keeps the global winner the
     lexicographically first optimum. Tables are vertex-major because
     reducing over the short vertex axis of a row-major table is slow.
+
+    Two relaxation filters come first. A low pattern is kept only if every
+    row v reaches k with the most that any high pattern adds to it (all of
+    the high part in N_mode(v) at +1); a high pattern is then kept only if
+    every row reaches k with the most that any kept low pattern adds. A
+    dropped pattern breaks some row with every partner, and the kept ones
+    stay in (key, index) order, so the filters change no result.
     """
     n = g.n
     # Every sum lies in [-n, n], so k > n is exactly as infeasible as n + 1;
@@ -111,18 +118,23 @@ def _first_optimum(
     m = _mode_matrix(g, mode)
     lo_sums, lo_plus = _part_table(m, high, n)
     hi_sums, hi_plus = _part_table(m, 0, high)
+    (order,) = np.nonzero((lo_sums >= k - hi_sums.max(axis=1)[:, None]).all(axis=0))
+    if len(order) == 0:
+        return None
     # key = weight for sigma and -weight for Gamma; the search minimises it.
     # It is sorted as int8, which makes the stable argsort a radix sort, and
     # searched as int64, which a Python int bound meets without a cast.
     sense = -1 if upper else 1
-    lo_key = sense * (2 * lo_plus - low)
-    order = np.argsort(lo_key, kind="stable")
+    lo_key = sense * (2 * lo_plus[order] - low)
+    by_key = np.argsort(lo_key, kind="stable")
+    order, lo_key = order[by_key], lo_key[by_key].astype(np.int64)
     # take() keeps the table C-contiguous; a[:, order] would not.
-    lo_key, lo_sums = lo_key[order].astype(np.int64), lo_sums.take(order, axis=1)
+    lo_sums = lo_sums.take(order, axis=1)
+    (hi_kept,) = np.nonzero((hi_sums >= k - lo_sums.max(axis=1)[:, None]).all(axis=0))
     hi_key = (sense * (2 * hi_plus - high)).tolist()
     best_key: int | None = None
     best_index: int | None = None
-    for p in range(1 << high):
+    for p in hi_kept.tolist():
         cols = len(order)
         if best_key is not None:
             cols = int(np.searchsorted(lo_key, best_key - hi_key[p]))

@@ -64,10 +64,12 @@ class TestFormula:
             (((1.5, 2, 3),), "variable 1.5 is not an integer in clause (1.5, 2, 3)"),
             ((("1", "2", "3"),), "variable 1 is not an integer in clause ('1', '2', '3')"),
             (((True, 2, 3),), "variable True is not an integer in clause (True, 2, 3)"),
+            ((5,), "clause 5 must have 3 distinct variables"),
+            ((([1], 2, 3),), "clause ([1], 2, 3) must have 3 distinct variables"),
         ],
         ids=[
             "short", "all-short", "ragged", "range", "huge", "non-integer", "fraction",
-            "string", "bool",
+            "string", "bool", "not-a-sequence", "unhashable",
         ],
     )
     def test_names_the_first_bad_clause(self, clauses, message):

@@ -170,8 +170,9 @@ class TestSplitEnumeration:
         monkeypatch.setattr(solve, "_LOW_BITS", request.param)
 
     def test_sigma_matches_first_optimum(self, rng):
+        # Up to 11 vertices, so that a 2-bit split has 2^9 high patterns.
         for _ in range(25):
-            g = random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5, 0.8]))
+            g = random_graph(rng, rng.randint(4, 11), rng.choice([0.3, 0.5, 0.8]))
             for k in (1, 2):
                 for mode in (Mode.CLOSED, Mode.TOTAL):
                     result = brute_force_sigma(g, k, mode)
@@ -192,6 +193,27 @@ class TestSplitEnumeration:
             for mode in (Mode.CLOSED, Mode.TOTAL):
                 assert_first_optimum(brute_force_sigma(g, k, mode), g, k, mode)
             assert_first_optimum(brute_force_upper(g, k), g, k, Mode.CLOSED, upper=True)
+
+    @pytest.mark.parametrize("isolated", [0, 8], ids=["high", "low"])
+    def test_total_mode_isolated_vertex_drops_every_low_pattern(self, isolated):
+        # N(isolated) is empty, so its row stays 0 < k with any partner: no
+        # low pattern survives the filter, whichever part the vertex is in.
+        edges = [(u, v) for u in range(9) for v in range(u + 1, 9) if isolated not in (u, v)]
+        g = Graph(9, edges)
+        for k in (1, 2):
+            result = brute_force_sigma(g, k, Mode.TOTAL)
+            assert result.status == INFEASIBLE
+            assert_first_optimum(result, g, k, Mode.TOTAL)
+
+    def test_low_degree_high_vertex_drops_some_high_patterns(self):
+        # N[0] = {0, 1} lies in the high part at every narrow width, so with
+        # k = 2 only the high patterns with vertices 0 and 1 at +1 survive.
+        g = Graph(9, [(0, 1)] + [(u, v) for u in range(1, 9) for v in range(u + 1, 9)])
+        sigma = brute_force_sigma(g, 2, Mode.CLOSED)
+        upper = brute_force_upper(g, 2)
+        assert sigma.certificate.values[:2] == upper.certificate.values[:2] == (1, 1)
+        assert_first_optimum(sigma, g, 2, Mode.CLOSED)
+        assert_first_optimum(upper, g, 2, Mode.CLOSED, upper=True)
 
     def test_infeasible(self):
         g = path(5)
