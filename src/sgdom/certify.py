@@ -178,6 +178,11 @@ def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
     return k, mode, SignFunction(tuple(values.tolist()))
 
 
+# The sign column `emit_certificate` writes, indexed by value > 0.
+_SIGN_TEXT = np.array(["-1", "+1"], dtype=object)
+
+
 def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:
-    rows = np.column_stack((np.arange(1, len(f) + 1), np.array(f.values, dtype=np.int64)))
-    return _emit_rows(f"s sgd-cert {len(f)} {k} {mode.value}\n", "v %d %+d\n", rows)
+    plus = np.array(f.values, dtype=np.int64) > 0
+    rows = np.column_stack((np.arange(1, len(f) + 1, dtype=object), _SIGN_TEXT.take(plus)))
+    return _emit_rows(f"s sgd-cert {len(f)} {k} {mode.value}\n", "v %d %s\n", rows)

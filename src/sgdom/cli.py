@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .bounds import DegreeProfile, bound_terms, effective_bound, format_bound, lower_bound
@@ -84,11 +85,14 @@ def _write_text(path: str | Path, text: str) -> None:
         raise _FileError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit(args, text_lines: list[str], record: dict) -> None:
+def _emit(args, text_lines: Callable[[], list[str]], record: Callable[[], dict]) -> None:
+    """Write the output in the chosen format: the JSON of record() for
+    `--format structured`, else the lines of text_lines(). Only the format
+    that is written is built."""
     if args.format == "structured":
-        out = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        out = json.dumps(record(), indent=2, sort_keys=True) + "\n"
     else:
-        out = "\n".join(text_lines) + "\n"
+        out = "\n".join(text_lines()) + "\n"
     if getattr(args, "output", None):
         _write_text(args.output, out)
     else:
@@ -113,22 +117,28 @@ def _cmd_solve(args) -> int:
     else:
         result = brute_force_sigma(g, args.k, mode, max_n=args.max_brute_n)
         name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
-    lines = [f"status = {result.status}"]
-    if result.value is not None:
-        lines.insert(0, f"{name} = {result.value}")
-    lines.append(f"nodes = {result.nodes_explored}")
-    if result.certificate is not None:
-        lines.append(emit_certificate(result.certificate, args.k, mode).rstrip("\n"))
-    record = _record(
-        parameter=name,
-        k=args.k,
-        mode=mode.value,
-        value=result.value,
-        status=result.status,
-        certificate=list(result.certificate.values) if result.certificate else None,
-        nodes_explored=result.nodes_explored,
-    )
-    _emit(args, lines, record)
+
+    def text_lines():
+        lines = [f"status = {result.status}"]
+        if result.value is not None:
+            lines.insert(0, f"{name} = {result.value}")
+        lines.append(f"nodes = {result.nodes_explored}")
+        if result.certificate is not None:
+            lines.append(emit_certificate(result.certificate, args.k, mode).rstrip("\n"))
+        return lines
+
+    def record():
+        return _record(
+            parameter=name,
+            k=args.k,
+            mode=mode.value,
+            value=result.value,
+            status=result.status,
+            certificate=list(result.certificate.values) if result.certificate else None,
+            nodes_explored=result.nodes_explored,
+        )
+
+    _emit(args, text_lines, record)
     if result.status == CAP_EXCEEDED:
         return EXIT_CAP
     if result.status == INFEASIBLE:
@@ -144,31 +154,37 @@ def _cmd_verify(args) -> int:
     if args.minimal and mode is not Mode.CLOSED:
         raise ValueError("minimality is only defined in closed mode")
     report = verify(g, k, mode, f)
-    lines = [
-        f"feasible = {'yes' if report.feasible else 'no'}",
-        f"weight = {f.weight}",
-        f"min_slack = {report.min_slack}",
-    ]
+    mreport = is_minimal_skdf(g, k, f) if args.minimal and report.feasible else None
+    minimal = None if mreport is None else mreport.minimal
     status = "feasible" if report.feasible else "infeasible"
-    if not report.feasible:
-        lines.append("violations = " + " ".join(str(v + 1) for v in sorted(report.violations)))
-    minimal = None
-    if args.minimal and report.feasible:
-        mreport = is_minimal_skdf(g, k, f)
-        minimal = mreport.minimal
-        lines.append(f"minimal = {'yes' if mreport.minimal else 'no'}")
-        if not mreport.minimal:
-            lines.append(f"offending = {mreport.offending + 1}")
-            status = "not_minimal"
-    record = _record(
-        parameter="verify",
-        k=k,
-        mode=mode.value,
-        value=f.weight,
-        status=status,
-        certificate=list(f.values),
-    )
-    _emit(args, lines, record)
+    if minimal is False:
+        status = "not_minimal"
+
+    def text_lines():
+        lines = [
+            f"feasible = {'yes' if report.feasible else 'no'}",
+            f"weight = {f.weight}",
+            f"min_slack = {report.min_slack}",
+        ]
+        if not report.feasible:
+            lines.append("violations = " + " ".join(str(v + 1) for v in sorted(report.violations)))
+        if mreport is not None:
+            lines.append(f"minimal = {'yes' if minimal else 'no'}")
+            if not minimal:
+                lines.append(f"offending = {mreport.offending + 1}")
+        return lines
+
+    def record():
+        return _record(
+            parameter="verify",
+            k=k,
+            mode=mode.value,
+            value=f.weight,
+            status=status,
+            certificate=list(f.values),
+        )
+
+    _emit(args, text_lines, record)
     ok = report.feasible and minimal is not False
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -199,7 +215,7 @@ def _cmd_bound(args) -> int:
         bound_num=value.numerator,
         bound_den=value.denominator,
     )
-    _emit(args, lines, record)
+    _emit(args, lambda: lines, lambda: record)
     return EXIT_OK
 
 

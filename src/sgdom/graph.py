@@ -34,16 +34,23 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > _MAX_ORDER:
+            raise ValueError(f"vertex count {n} exceeds {_MAX_ORDER}")
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
         pairs, cut = _edge_array(edges)
-        # The doubled edge list is sorted once, for the repeat check and the rows.
-        src, dst = pairs.ravel(), pairs[:, ::-1].ravel()
-        order = np.lexsort((dst, src))
-        nbr = dst[order]
-        bad = _first_bad_edge(n, pairs, src[order], nbr, order)
-        if bad is not None:
-            index, reason = bad
+        # The entries of the doubled edge list are sorted once as keys
+        # (u, v) -> u << width | v. A key equal to its neighbour is a repeat
+        # (a self-loop repeats itself), and without one the keys are the rows.
+        width = operator.index(max(n - 1, 0)).bit_length()
+        key = None
+        if pairs.size == 0 or pairs.view(np.uint64).max() < n:  # a negative wraps
+            key = _entry_keys(width, pairs)
+            key.sort()
+            if (key[1:] == key[:-1]).any():
+                key = None
+        if key is None:
+            index, reason = _first_bad_edge(n, width, pairs)
             u, v = edges[index]
             message = {
                 "range": f"edge ({u},{v}) out of range for n={n}",
@@ -55,9 +62,8 @@ class Graph:
             raise ValueError(f"edge {edges[cut]!r} is not a pair of vertices")
         self.n = n
         self.m = len(pairs)
-        self._nbr = nbr
-        self._ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self._ptr[1:])
+        self._ptr = key.searchsorted(np.arange(n + 1) << width)
+        self._nbr = np.bitwise_and(key, (1 << width) - 1, out=key)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v), sorted."""
@@ -145,6 +151,9 @@ class _EdgeError(ValueError):
 
 # A vertex beyond int64 is stored as this value, which no range accepts.
 _OUT_OF_RANGE = -1
+# The largest order Graph builds: its vertices have at most 31 bits, so an
+# entry key of two vertices fits in int64.
+_MAX_ORDER = 1 << 31
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -181,39 +190,43 @@ def _is_pair(item) -> bool:
         return False
 
 
-def _repeats(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the items whose keys all equal those of an earlier item."""
-    order = np.lexsort(keys)  # stable: equal items keep their order
-    same = np.all([key[order][1:] == key[order][:-1] for key in keys], axis=0)
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Mask of the items whose key equals that of an earlier item."""
+    order = np.argsort(key, kind="stable")  # equal items keep their order
+    ordered = key[order]
     mask = np.zeros(order.size, dtype=bool)
-    mask[order[1:][same]] = True
+    mask[order[1:][ordered[1:] == ordered[:-1]]] = True
     return mask
 
 
-def _first_bad_edge(
-    n: int, pairs: np.ndarray, src: np.ndarray, dst: np.ndarray, order: np.ndarray
-) -> tuple[int, str] | None:
+def _entry_keys(width: int, pairs: np.ndarray) -> np.ndarray:
+    """The key u << width | v of each entry (u, v) of the doubled edge list,
+    in which edge i = (u, v) is entry 2i = (u, v) and entry 2i+1 = (v, u).
+    Every vertex must lie in 0..2^width - 1; the keys then sort as the
+    entries do, lexicographically."""
+    key = pairs << width
+    key |= pairs[:, ::-1]
+    return key.ravel()
+
+
+def _first_bad_edge(n: int, width: int, pairs: np.ndarray) -> tuple[int, str]:
     """(index, reason) of the first edge that is out of range for n
     vertices, a self-loop or a repeat of an earlier edge in either
-    orientation, checked in that order; None if every edge is good.
+    orientation, checked in that order; some edge must be one of these.
 
-    src and dst are the sorted entries of the doubled edge list, in which
-    edge i is entries 2i and 2i+1 (one per orientation), and order[j] is the
-    doubled position of sorted entry j. The sort is stable, so a run of equal
-    entries lists its edges in index order, and an entry equal to its
-    predecessor belongs to a repeat of an earlier edge (or is the second
-    entry of a self-loop, which is reported as a loop first).
+    An entry whose key equals that of an earlier entry belongs to a repeat
+    (or to a self-loop, reported as a loop first). Vertices out of range are
+    clipped into it, so that every key fits in int64. Two entries that then
+    have equal keys but differ include one of an edge out of range, which is
+    either the later of the two or comes before it; so the first bad edge
+    and its reason stay those of the exact entries.
     """
     u, v = pairs[:, 0], pairs[:, 1]
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     loop = u == v
-    same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-    repeat = np.zeros(len(pairs), dtype=bool)
-    repeat[order[1:][same] // 2] = True
-    bad = np.flatnonzero(out | loop | repeat)
-    if bad.size == 0:
-        return None
-    i = int(bad[0])
+    key = _entry_keys(width, pairs.clip(0, max(n - 1, 0)))
+    repeat = _repeats(key).reshape(-1, 2).any(axis=1)
+    i = int(np.flatnonzero(out | loop | repeat)[0])
     return i, "range" if out[i] else "loop" if loop[i] else "duplicate"
 
 

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the package's solvers: plain
 itertools enumeration with direct neighborhood sums, so solver bugs and test
-bugs cannot cancel out.
+bugs cannot cancel out. They take a DrawnGraph and read its neighbourhoods from
+the edge list it was built from, never from the CSR rows of Graph.
 """
 
 import random
@@ -13,9 +14,36 @@ import pytest
 from sgdom import Graph, Mode, SignFunction
 
 
+class DrawnGraph(Graph):
+    """A Graph that also keeps the neighbourhoods of the edge list it was
+    built from, as plain sets, for the oracles."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, n, edges):
+        edges = list(edges)
+        super().__init__(n, edges)
+        self.adj = [set() for _ in range(n)]
+        for u, v in edges:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+
+
+def drawn_path(n):
+    return DrawnGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def drawn_cycle(n):
+    return DrawnGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def drawn_complete(n):
+    return DrawnGraph(n, combinations(range(n), 2))
+
+
 def nbhd(g, v, mode):
-    """N[v] (closed mode) or N(v) (total mode) as a list, from g.neighbors."""
-    return list(g.neighbors(v)) + ([v] if mode is Mode.CLOSED else [])
+    """N[v] (closed mode) or N(v) (total mode) of a DrawnGraph, sorted."""
+    return sorted(g.adj[v] | {v} if mode is Mode.CLOSED else g.adj[v])
 
 
 def nbhd_sums(g, mode, values):
@@ -128,14 +156,14 @@ def first_optimum(g, k, mode, upper=False):
     return best
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+def random_graph(rng: random.Random, n: int, p: float) -> DrawnGraph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return Graph(n, edges)
+    return DrawnGraph(n, edges)
 
 
-def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
+def random_connected_graph(rng: random.Random, n: int, p: float) -> DrawnGraph:
     """Random spanning tree plus density-p extra edges."""
     order = list(range(n))
     rng.shuffle(order)
@@ -148,7 +176,7 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
-    return Graph(n, sorted(edges))
+    return DrawnGraph(n, sorted(edges))
 
 
 def all_signs(n):
@@ -174,7 +202,7 @@ def loop_set_gadget(g, k, kind):
                     edges.append((nxt + x, nxt + y))
             edges.append((v, nxt))
             nxt += size
-    return Graph(nxt, edges), nxt - g.n, tuple(provenance)
+    return DrawnGraph(nxt, edges), nxt - g.n, tuple(provenance)
 
 
 def loop_1in3_gadget(formula, k):

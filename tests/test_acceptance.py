@@ -14,7 +14,6 @@ import pytest
 from sgdom import (
     DegreeProfile,
     ExtremalSpec,
-    Graph,
     Mode,
     SignFunction,
     ThreeSatFormula,
@@ -44,7 +43,7 @@ from sgdom import (
 )
 from sgdom.solve import OPTIMAL
 
-from conftest import definitionally_minimal, feasible, random_connected_graph
+from conftest import DrawnGraph, definitionally_minimal, feasible, random_connected_graph
 
 MAX_BRUTE_N = 24
 
@@ -54,9 +53,9 @@ def _report(name: str, ok: bool) -> None:
     assert ok, name
 
 
-def _from_networkx(h) -> Graph:
+def _from_networkx(h) -> DrawnGraph:
     relabel = {u: i for i, u in enumerate(sorted(h.nodes()))}
-    return Graph(h.number_of_nodes(), [(relabel[u], relabel[v]) for u, v in h.edges()])
+    return DrawnGraph(h.number_of_nodes(), [(relabel[u], relabel[v]) for u, v in h.edges()])
 
 
 def _atlas_graphs(min_n, max_n, connected_only):
@@ -222,7 +221,7 @@ def test_criterion_8_minimality_equivalence():
         edges = [
             (u, v) for u in range(5) for v in range(u + 1, 5) if rng.random() < 0.5
         ]
-        graphs.append(Graph(5, edges))
+        graphs.append(DrawnGraph(5, edges))
     compared = 0
     for g in graphs:
         for k in (1, 2):

@@ -19,11 +19,13 @@ from sgdom.certify import _mode_rows
 from sgdom.graph import GraphFormatError
 
 from conftest import (
+    DrawnGraph,
     all_signs,
     definitionally_minimal,
     feasible,
     first_offending,
     forced_reference,
+    nbhd,
     nbhd_sums,
     random_graph,
 )
@@ -43,7 +45,7 @@ def test_verify_matches_reference_sums(n, data):
             max_size=2 * n if n >= 2 else 0,
         )
     )
-    g = Graph(n, edges)
+    g = DrawnGraph(n, edges)
     values = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     k = data.draw(st.integers(1, 3))
     for mode in Mode:
@@ -65,13 +67,11 @@ def test_mode_rows_are_the_sorted_neighbourhoods(rng, mode):
     alone; the rows are read-only."""
     for _ in range(40):
         n = rng.randint(0, 12)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        rows = [{v} if mode is Mode.CLOSED else set() for v in range(n)]
-        for u, v in edges:
-            rows[u].add(v)
-            rows[v].add(u)
-        ptr, nbr = _mode_rows(Graph(n, edges), mode)
-        assert [nbr[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == [sorted(r) for r in rows]
+        g = random_graph(rng, n, 0.4)
+        ptr, nbr = _mode_rows(g, mode)
+        assert [nbr[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == [
+            nbhd(g, v, mode) for v in range(n)
+        ]
         assert not ptr.flags.writeable and not nbr.flags.writeable
 
 
@@ -229,6 +229,17 @@ class TestCertificateFormat:
         text = emit_certificate(f, 2, Mode.TOTAL)
         k, mode, parsed = parse_certificate(text)
         assert (k, mode, parsed) == (2, Mode.TOTAL, f)
+
+    @pytest.mark.parametrize(
+        "values, text",
+        [
+            ((1, -1, -1, 1), "s sgd-cert 4 2 total\nv 1 +1\nv 2 -1\nv 3 -1\nv 4 +1\n"),
+            ((-1,), "s sgd-cert 1 2 total\nv 1 -1\n"),
+            ((), "s sgd-cert 0 2 total\n"),
+        ],
+    )
+    def test_emitted_bytes(self, values, text):
+        assert emit_certificate(SignFunction(values), 2, Mode.TOTAL) == text
 
     def test_any_vertex_order(self):
         text = "s sgd-cert 2 1 closed\nv 2 -1\nv 1 +1\n"

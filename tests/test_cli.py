@@ -145,6 +145,46 @@ class TestVerify:
         assert captured.err == "error: minimality is only defined in closed mode\n"
 
 
+class TestOutputFormats:
+    """solve and verify build only the output of the format they print; the
+    bytes printed are pinned."""
+
+    @pytest.fixture
+    def certs(self, tmp_path):
+        paths = {}
+        for name, values in [("all-plus", (1,) * 5), ("two-minus", (1, -1, -1, 1, 1))]:
+            paths[name] = tmp_path / f"{name}.cert"
+            paths[name].write_text(emit_certificate(SignFunction(values), 1, Mode.CLOSED))
+        return paths
+
+    def test_text(self, c5_path, certs, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_record", pytest.fail)
+        assert main(["solve", "--k", "1", "--algo", "brute", c5_path]) == 0
+        assert main(["verify", "--cert", str(certs["all-plus"]), "--minimal", c5_path]) == 1
+        assert main(["verify", "--cert", str(certs["two-minus"]), c5_path]) == 1
+        assert capsys.readouterr().out == (
+            "sigma_ks = 3\nstatus = optimal\nnodes = 32\ns sgd-cert 5 1 closed\n"
+            "v 1 -1\nv 2 +1\nv 3 +1\nv 4 +1\nv 5 +1\n"
+            "feasible = yes\nweight = 5\nmin_slack = 2\nminimal = no\noffending = 1\n"
+            "feasible = no\nweight = 1\nmin_slack = -2\nviolations = 2 3\n"
+        )
+
+    def test_structured(self, c5_path, certs, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "emit_certificate", pytest.fail)
+        argv = ["--format", "structured", c5_path]
+        assert main(["solve", "--k", "1", "--algo", "brute", *argv]) == 0
+        assert main(["verify", "--cert", str(certs["all-plus"]), "--minimal", *argv]) == 1
+        out = capsys.readouterr().out
+        base = dict.fromkeys(["bound_den", "bound_num", "nodes_explored"])
+        records = [
+            {**base, "certificate": [-1, 1, 1, 1, 1], "k": 1, "mode": "closed",
+             "nodes_explored": 32, "parameter": "sigma_ks", "status": "optimal", "value": 3},
+            {**base, "certificate": [1] * 5, "k": 1, "mode": "closed",
+             "parameter": "verify", "status": "not_minimal", "value": 5},
+        ]
+        assert out == "".join(json.dumps(r, indent=2, sort_keys=True) + "\n" for r in records)
+
+
 class TestBound:
     def test_profile(self, capsys):
         code = main(

@@ -1,16 +1,20 @@
+import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdom import (
+    ExtremalSpec,
     Graph,
     GraphFormatError,
     Matching,
     Mode,
     SignFunction,
     ThreeSatFormula,
+    build_extremal,
     complete,
     complete_bipartite,
     cycle,
@@ -21,9 +25,20 @@ from sgdom import (
     parse_cnf,
     parse_graph,
     path,
+    reduce_1in3,
+    reduce_mds,
+    reduce_mtds,
 )
+from sgdom import extremal, reductions
+from sgdom.graph import _MAX_ORDER, _entry_keys
 
-from conftest import loop_certificate_text, loop_cnf_text, loop_graph_text, reference_graph
+from conftest import (
+    loop_certificate_text,
+    loop_cnf_text,
+    loop_graph_text,
+    random_connected_graph,
+    reference_graph,
+)
 
 
 class TestParse:
@@ -143,6 +158,106 @@ def test_graph_matches_reference(case):
     if n:
         assert g.min_degree == min(map(len, adj))
         assert g.max_degree == max(map(len, adj))
+
+
+def _assert_matches_reference(n, edges):
+    """Graph(n, edges) has the reference's rows, as CSR arrays, or raises
+    the reference's error text."""
+    adj, bad = reference_graph(n, edges)
+    if bad is not None:
+        i, reason = bad
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == _edge_message(n, tuple(edges[i]), reason)
+        return
+    g = Graph(n, edges)
+    assert g.m == len(edges)
+    assert g._ptr.dtype == g._nbr.dtype == np.int64
+    assert g._ptr.tolist() == np.cumsum([0] + [len(a) for a in adj]).tolist()
+    assert g._nbr.tolist() == [v for a in adj for v in a]
+
+
+def _builder_edge_lists():
+    """(n, edges) of every Graph that the reducers and build_extremal
+    construct from small sources, as the arrays they pass."""
+    calls = []
+
+    def record(n, edges):
+        calls.append((n, np.array(edges)))
+        return Graph(n, edges)
+
+    rng = random.Random(3)
+    with mock.patch.object(reductions, "Graph", record), mock.patch.object(
+        extremal, "Graph", record
+    ):
+        for k in (1, 2):
+            g = random_connected_graph(rng, 12, 0.3)
+            reduce_mds(g, k)
+            reduce_mtds(g, k)
+            clauses = tuple(tuple(rng.sample(range(1, 9), 3)) for _ in range(10))
+            reduce_1in3(ThreeSatFormula(8, clauses), k)
+        build_extremal(ExtremalSpec(1, 2, 3, 4, Mode.CLOSED))
+        build_extremal(ExtremalSpec(2, 4, 5, 6, Mode.TOTAL))
+    return calls
+
+
+def test_graph_matches_reference_at_scale():
+    """Long edge lists, shuffled and in either orientation, from random
+    graphs of up to 300 vertices and from the reducers and build_extremal:
+    the rows equal the reference's. With bad edges placed late (out of
+    range, self-loops, repeats in either orientation, and a second bad edge
+    after the first) Graph names the reference's first bad edge."""
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(2, 300)
+        pairs = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))}
+        cases.append((n, list({(min(e), max(e)): e for e in pairs}.values())))
+    cases += [(n, [tuple(e) for e in edges.tolist()]) for n, edges in _builder_edge_lists()]
+    checked = 0
+    for n, edges in cases:
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+        for listing in (edges, rng.sample(edges, len(edges))):
+            _assert_matches_reference(n, listing)
+            _assert_matches_reference(n, np.array(listing, dtype=np.int64).reshape(-1, 2))
+            if not listing:
+                continue
+            u, v = rng.choice(listing)
+            for bad in [(u, n), (-1, v), (n + 5, u), (u, u), (u, v), (v, u)]:
+                late = rng.randint(len(listing) * 3 // 4, len(listing))
+                spoilt = listing[:late] + [bad] + listing[late:]
+                _assert_matches_reference(n, spoilt)
+                _assert_matches_reference(n, spoilt + [(v, v), (u, n)])
+                checked += 1
+    assert checked > 200
+
+
+def test_order_limit_keeps_the_keys_in_int64():
+    """Graph refuses an order above _MAX_ORDER before it allocates anything;
+    at that order the entry keys of the largest vertices stay below 2^62 and
+    sort as the entries do, so the checks on edges among them name the
+    right edge. No test builds such a graph: its rows would need 16 GiB."""
+    with pytest.raises(ValueError, match=f"^vertex count {_MAX_ORDER + 1} exceeds {_MAX_ORDER}$"):
+        Graph(_MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        Graph(10**30, [(0, 1)])
+    top = _MAX_ORDER - 1
+    pairs = np.array([(top, top - 1), (0, top), (top, 0), (top - 1, 1)], dtype=np.int64)
+    key = _entry_keys(top.bit_length(), pairs)
+    entries = np.column_stack((pairs.ravel(), pairs[:, ::-1].ravel())).tolist()
+    assert key.max() < 2**62
+    assert np.argsort(key, kind="stable").tolist() == sorted(
+        range(len(entries)), key=entries.__getitem__
+    )
+    for edges, message in [
+        ([(top, top - 1), (0, top), (top, 0)], f"duplicate edge ({top},0)"),
+        ([(top, top - 1), (top - 1, 1), (1, top - 1)], f"duplicate edge (1,{top - 1})"),
+        ([(top, 1), (top, top)], f"self-loop at vertex {top}"),
+        ([(top, 1), (top, top + 1), (top, top)], f"edge ({top},{top + 1}) out of range"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Graph(_MAX_ORDER, edges)
+        assert str(exc.value).startswith(message)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

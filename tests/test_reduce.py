@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -229,7 +230,8 @@ class TestReductionIdentities:
     def test_block_vertices_forced_plus(self):
         # every clique-block vertex is +1 in every feasible certificate
         art = reduce_mtds(path(3), 1)
-        h = art.graph
+        h, _, _ = loop_set_gadget(path(3), 1, "mtds")
+        assert art.graph == h
         block = [v for v, label in enumerate(art.provenance) if label[0] != "original"]
         for values in all_signs(h.n):
             if feasible(h, 1, Mode.TOTAL, values):
@@ -283,6 +285,18 @@ class TestArrayBuilders:
         for values in [(), (1,), (1, -1), (-1, 1, 1, -1, 1)]:
             f = SignFunction(values)
             assert emit_certificate(f, 2, Mode.TOTAL) == loop_certificate_text(f, 2, Mode.TOTAL)
+
+    def test_peak_memory_of_a_gadget_build(self):
+        """Building a gadget of 5k vertices and 99k edges holds at most four
+        times the bytes of the rows the graph keeps: the edge array and its
+        sorted keys, which become the rows."""
+        tracemalloc.start()
+        try:
+            h = reduce_mds(path(3), 40).graph
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (h._nbr.nbytes + h._ptr.nbytes)
 
 
 class TestSatConstruction:

@@ -16,7 +16,6 @@ from sgdom import (
     brute_force_sigma,
     brute_force_upper,
     complete,
-    complete_bipartite,
     cycle,
     forced_plus_vertices,
     gamma,
@@ -30,6 +29,10 @@ from sgdom.bounds import DegreeProfile, bound_terms, indicator, lower_bound
 from sgdom.solve import CAP_EXCEEDED, INFEASIBLE, OPTIMAL, CapExceededError, InfeasibleError
 
 from conftest import (
+    DrawnGraph,
+    drawn_complete,
+    drawn_cycle,
+    drawn_path,
     exhaustive_sigma,
     exhaustive_upper,
     first_optimum,
@@ -43,13 +46,13 @@ class TestBruteForceSigma:
     @pytest.mark.parametrize(
         "g,k,mode,expected",
         [
-            (complete(4), 1, Mode.CLOSED, 2),
-            (cycle(5), 1, Mode.CLOSED, 3),  # frozen from exhaustive_sigma
-            (cycle(4), 1, Mode.TOTAL, 4),
-            (complete(5), 2, Mode.TOTAL, 3),
+            (drawn_complete(4), 1, Mode.CLOSED, 2),
+            (drawn_cycle(5), 1, Mode.CLOSED, 3),  # frozen from exhaustive_sigma
+            (drawn_cycle(4), 1, Mode.TOTAL, 4),
+            (drawn_complete(5), 2, Mode.TOTAL, 3),
             # All-plus is the only certificate: every leaf neighborhood has
-            # size 2 and must reach an odd threshold.
-            (complete_bipartite(1, 5), 1, Mode.CLOSED, 6),
+            # size 2 and must reach an odd threshold (the star K_{1,5}).
+            (DrawnGraph(6, [(0, v) for v in range(1, 6)]), 1, Mode.CLOSED, 6),
         ],
     )
     def test_known_values(self, g, k, mode, expected):
@@ -98,11 +101,11 @@ class TestBruteForceSigma:
 class TestBruteForceUpper:
     def test_triangle(self):
         result = brute_force_upper(complete(3), 1)
-        assert result.value == 1 == exhaustive_upper(complete(3), 1)
+        assert result.value == 1 == exhaustive_upper(drawn_complete(3), 1)
 
     def test_k4(self):
         result = brute_force_upper(complete(4), 1)
-        assert result.value == 2 == exhaustive_upper(complete(4), 1)
+        assert result.value == 2 == exhaustive_upper(drawn_complete(4), 1)
 
     def test_matches_oracle_on_random_graphs(self, rng):
         for _ in range(30):
@@ -186,7 +189,9 @@ class TestSplitEnumeration:
                 assert_first_optimum(result, g, k, Mode.CLOSED, upper=True)
 
     @pytest.mark.parametrize(
-        "g", [Graph(0), Graph(1), path(2), complete(3)], ids=["n0", "n1", "n2", "n3"]
+        "g",
+        [DrawnGraph(0, []), DrawnGraph(1, []), drawn_path(2), drawn_complete(3)],
+        ids=["n0", "n1", "n2", "n3"],
     )
     def test_orders_up_to_the_split_width(self, g):
         for k in (1, 2):
@@ -199,7 +204,7 @@ class TestSplitEnumeration:
         # N(isolated) is empty, so its row stays 0 < k with any partner: no
         # low pattern survives the filter, whichever part the vertex is in.
         edges = [(u, v) for u in range(9) for v in range(u + 1, 9) if isolated not in (u, v)]
-        g = Graph(9, edges)
+        g = DrawnGraph(9, edges)
         for k in (1, 2):
             result = brute_force_sigma(g, k, Mode.TOTAL)
             assert result.status == INFEASIBLE
@@ -208,7 +213,7 @@ class TestSplitEnumeration:
     def test_low_degree_high_vertex_drops_some_high_patterns(self):
         # N[0] = {0, 1} lies in the high part at every narrow width, so with
         # k = 2 only the high patterns with vertices 0 and 1 at +1 survive.
-        g = Graph(9, [(0, 1)] + [(u, v) for u in range(1, 9) for v in range(u + 1, 9)])
+        g = DrawnGraph(9, [(0, 1)] + [(u, v) for u in range(1, 9) for v in range(u + 1, 9)])
         sigma = brute_force_sigma(g, 2, Mode.CLOSED)
         upper = brute_force_upper(g, 2)
         assert sigma.certificate.values[:2] == upper.certificate.values[:2] == (1, 1)
@@ -216,7 +221,7 @@ class TestSplitEnumeration:
         assert_first_optimum(upper, g, 2, Mode.CLOSED, upper=True)
 
     def test_infeasible(self):
-        g = path(5)
+        g = drawn_path(5)
         assert brute_force_sigma(g, 3, Mode.CLOSED).status == INFEASIBLE
         assert brute_force_upper(g, 3).status == INFEASIBLE
         assert_first_optimum(brute_force_sigma(g, 3, Mode.CLOSED), g, 3, Mode.CLOSED)
@@ -399,12 +404,9 @@ class TestBranchAndBound:
 def lagrangian_instance(g, k, mode):
     """Pairs (v, u) with u in the mode neighbourhood of v, and the
     parity-strengthened thresholds, built apart from bnb_sigma."""
-    nbhd = [
-        g.closed_neighbors(v) if mode is Mode.CLOSED else g.neighbors(v)
-        for v in range(g.n)
-    ]
-    pairs = np.array([(v, u) for v in range(g.n) for u in nbhd[v]], dtype=np.intp)
-    thr = np.array([k + (len(a) - k) % 2 for a in nbhd], dtype=float)
+    rows = [nbhd(g, v, mode) for v in range(g.n)]
+    pairs = np.array([(v, u) for v in range(g.n) for u in rows[v]], dtype=np.intp)
+    thr = np.array([k + (len(a) - k) % 2 for a in rows], dtype=float)
     return pairs[:, 0], pairs[:, 1], thr
 
 
