@@ -4,7 +4,6 @@ signed total k-domination, and minimality of signed k-dominating functions."""
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -147,8 +146,6 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
 # Certificate text format
 
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
-# The value lines `emit_certificate` writes.
-_VALUE_LINES = re.compile(rb"(?:v [1-9][0-9]{0,6} [+-]1\n)*")
 
 
 def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
@@ -158,7 +155,7 @@ def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
     at once; every error names the first offending line.
     """
     (_, (n, k, mode)), rows, linenos, stop = _read_body(
-        text, "s", "sgd-cert", (int, int, Mode), "v", (int, _SIGNS.__getitem__), _VALUE_LINES,
+        text, "s", "sgd-cert", (int, int, Mode), "v", (int, _SIGNS),
         lambda fields: f"malformed value line {' '.join(fields)!r}",
     )
     index = rows[:, 0] - 1

@@ -22,7 +22,6 @@ from .certify import (
     parse_certificate,
     verify,
 )
-from .config import DEFAULT_MAX_BRUTE_N, DEFAULT_NODE_BUDGET
 from .extremal import ExtremalSpec, build_extremal
 from .graph import _MAX_COUNT, GraphFormatError, _factor_rounds, emit_graph, parse_graph
 from .reductions import (
@@ -37,6 +36,8 @@ from .reductions import (
 )
 from .solve import (
     CAP_EXCEEDED,
+    DEFAULT_MAX_BRUTE_N,
+    DEFAULT_NODE_BUDGET,
     INFEASIBLE,
     bnb_sigma,
     brute_force_sigma,

@@ -214,20 +214,17 @@ def _first_bad_edge(n: int, width: int, pairs: np.ndarray) -> tuple[int, str]:
     vertices, a self-loop or a repeat of an earlier edge in either
     orientation, checked in that order; some edge must be one of these.
 
-    An entry whose key equals that of an earlier entry belongs to a repeat
-    (or to a self-loop, reported as a loop first). Vertices out of range are
-    clipped into it, so that every key fits in int64. Two entries that then
-    have equal keys but differ include one of an edge out of range, which is
-    either the later of the two or comes before it; so the first bad edge
-    and its reason stay those of the exact entries.
+    The edges before the first one out of range are all in range, so their
+    entry keys are exact: an entry whose key equals that of an earlier entry
+    belongs to a repeat (or to a self-loop, reported as a loop first).
     """
-    u, v = pairs[:, 0], pairs[:, 1]
-    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    loop = u == v
-    key = _entry_keys(width, pairs.clip(0, max(n - 1, 0)))
-    repeat = _repeats(key).reshape(-1, 2).any(axis=1)
-    i = int(np.flatnonzero(out | loop | repeat)[0])
-    return i, "range" if out[i] else "loop" if loop[i] else "duplicate"
+    out = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    stop = int(np.append(out, True).argmax())  # the first edge out of range
+    head = pairs[:stop]
+    loop = head[:, 0] == head[:, 1]
+    repeat = _repeats(_entry_keys(width, head)).reshape(-1, 2).any(axis=1)
+    i = int(np.append(loop | repeat, True).argmax())
+    return i, "range" if i == stop else "loop" if loop[i] else "duplicate"
 
 
 @dataclass(frozen=True)
@@ -309,54 +306,61 @@ def _read_lines(
         raise GraphFormatError("missing header")
 
 
-def _read_body(text, tag, magic, header, line_tag, columns, canonical, malformed):
+def _read_body(text, tag, magic, header, line_tag, columns, malformed):
     """The one record reader of the graph, certificate and CNF formats.
 
     The header is read by `_read_lines`, which raises its errors. A body line
-    is `line_tag` (if not None), then one field per converter in `columns`,
-    each giving an integer. Returns the header's (lineno, values); an
-    (r, len(columns)) int64 array, one row per body line, a value beyond
-    int64 stored as _OUT_OF_RANGE; the line number of each row; and `stop`,
-    the error of the first line whose tag, field count or fields are wrong
-    (None if there is none; the rows end before it), worded by
-    `malformed(fields)`. The caller checks the rows' values, and re-reads an
-    offending row's fields with `_line_fields`.
+    is `line_tag` (if not None), then one field per column of `columns`:
+    `int`, or a dict whose keys are the spellings of its values. Returns the
+    header's (lineno, values); an (r, len(columns)) int64 array, one row per
+    body line, a value beyond int64 stored as _OUT_OF_RANGE; the line number
+    of each row; and `stop`, the error of the first line whose tag, field
+    count or fields are wrong (None if there is none; the rows end before
+    it), worded by `malformed(fields)`. The caller checks the rows' values,
+    and re-reads an offending row's fields with `_line_fields`.
 
-    Text in exactly the form `canonical` describes is tokenised by a pattern
-    match and array arithmetic, any other text line by line, to the same
-    result.
+    Text in the canonical form of `_canonical_pattern` is tokenised by one
+    pattern match and array arithmetic, any other text line by line, to the
+    same result.
     """
-    return _canonical_rows(text, tag, magic, header, len(columns), canonical) or _line_rows(
+    return _canonical_rows(text, tag, magic, header, line_tag, columns) or _line_rows(
         text, tag, magic, header, line_tag, columns, malformed
     )
 
 
-# The canonical form, in which the emitters write: the header first, as
-# printable ASCII tokens separated by single spaces, then only body lines. A
-# vertex or index has at most 7 digits, as the counts are at most _MAX_COUNT.
-_HEADER_LINE = re.compile(rb"[!-~]+(?: [!-~]+)*\n")
-_EDGE_LINES = re.compile(rb"(?:e [1-9][0-9]{0,6} [1-9][0-9]{0,6}\n)*")
+def _canonical_pattern(tag, line_tag, columns) -> re.Pattern:
+    """The canonical form of a format, in which the emitters write: the
+    header on the first line, `tag` then printable ASCII tokens separated by
+    single spaces; then only body lines, their fields separated by single
+    spaces. An `int` field is 1-7 ASCII digits (the counts are at most
+    _MAX_COUNT) and a dict field one of its keys, each of which must be its
+    value's digits with an optional sign. The pattern has no group: one
+    around the header made the body's match about 20% slower."""
+    fields = [] if line_tag is None else [re.escape(line_tag.encode())]
+    for column in columns:
+        if column is int:
+            fields.append(rb"[0-9]{1,7}")
+        else:
+            fields.append(b"(?:" + b"|".join(re.escape(key.encode()) for key in column) + b")")
+    head = re.escape(tag.encode()) + rb"(?: [!-~]+)*\n"
+    return re.compile(head + b"(?:" + b" ".join(fields) + rb"\n)*")
 
 
-def _canonical_rows(text, tag, magic, header, width, body):
-    """The canonical lane of `_read_body`: the header on the first line,
-    then lines that the compiled bytes pattern `body` matches in full, row i
-    being the width digit runs on line i + 2. None for text in any other
-    form."""
+def _canonical_rows(text, tag, magic, header, line_tag, columns):
+    """The canonical lane of `_read_body`: row i is the digit runs on line
+    i + 2 of text in the form of `_canonical_pattern`, else None (a first
+    line that is a comment, say: the header's errors are the per-line
+    lane's)."""
     if isinstance(text, str):
-        text = text.encode("utf-8")  # the patterns match ASCII bytes only
-    head = _HEADER_LINE.match(text)
-    # A first line that is not the header, such as a comment, is left to the
-    # per-line lane; the header's errors are then the same in both lanes.
-    if head is None or head[0].split()[0] != tag.encode():
+        text = text.encode("utf-8")  # the pattern matches ASCII bytes only
+    if _canonical_pattern(tag, line_tag, columns).fullmatch(text) is None:
         return None
-    if body.fullmatch(text, head.end()) is None:
-        return None
-    first = next(_read_lines(head[0], tag, magic, *header))
+    end = text.index(b"\n")  # the header's newline
+    first = next(_read_lines(text[:end], tag, magic, *header))
     # The body starts at the header's newline, so each digit run has a byte
     # before it for its sign.
-    chars = np.frombuffer(text, dtype=np.uint8, offset=head.end() - 1)
-    rows = _digit_runs(chars).reshape(-1, width)
+    chars = np.frombuffer(text, dtype=np.uint8, offset=end)
+    rows = _digit_runs(chars).reshape(-1, len(columns))
     return first, rows, range(2, len(rows) + 2), None
 
 
@@ -398,6 +402,7 @@ def _line_rows(text, tag, magic, header, line_tag, columns, malformed):
     cut = len(linenos)
     converted = []
     for j, convert in enumerate(columns, start=skip):
+        convert = convert.__getitem__ if isinstance(convert, dict) else convert
         values: list[int] = []
         try:
             values.extend(map(convert, tokens[j:cut * width:width]))
@@ -425,7 +430,7 @@ def parse_graph(text: str | bytes) -> Graph:
     names the first offending line.
     """
     (_, (n, m)), rows, linenos, stop = _read_body(
-        text, "p", "sgd", (int, int), "e", (int, int), _EDGE_LINES,
+        text, "p", "sgd", (int, int), "e", (int, int),
         lambda fields: f"malformed edge line {' '.join(fields)!r}",
     )
     try:

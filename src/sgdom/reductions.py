@@ -4,7 +4,6 @@ k-domination, and 1-in-3 SAT -> upper signed k-domination."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -57,10 +56,6 @@ def _bad_clauses(lits: np.ndarray, n: int) -> np.ndarray:
     return (lits < 1).any(axis=1) | (lits > n).any(axis=1) | (a == b) | (a == c) | (b == c)
 
 
-# Clause lines in the form `a b c 0`, each literal with at most 7 digits.
-_CLAUSE_LINES = re.compile(rb"(?:[1-9][0-9]{0,6} [1-9][0-9]{0,6} [1-9][0-9]{0,6} 0\n)*")
-
-
 def _clause_error(fields: list[str], n: int = 0) -> str:
     """What is wrong with the clause line `fields` over variables 1..n. The
     reader asks, without n, only about a line whose field count or fields
@@ -87,7 +82,7 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
     line.
     """
     (header_line, (n, m)), rows, linenos, stop = _read_body(
-        text, "p", "cnf", (int, int), None, (int,) * 4, _CLAUSE_LINES, _clause_error
+        text, "p", "cnf", (int, int), None, (int,) * 4, _clause_error
     )
     if n < 1:
         raise GraphFormatError("formula needs at least one variable", header_line)

@@ -11,7 +11,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import config
 from .bounds import indicator, parity_ceil
 from .certify import (
     Mode,
@@ -26,6 +25,10 @@ from .graph import Graph
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 CAP_EXCEEDED = "cap_exceeded"
+
+# Default caps of the brute-force and branch-and-bound solvers.
+DEFAULT_MAX_BRUTE_N = 24
+DEFAULT_NODE_BUDGET = 10**8
 
 # Low-part width of the brute-force split: the low table holds 2^14 columns
 # of n int16 sums, small enough to stay in cache.
@@ -197,7 +200,7 @@ def _brute_force(
 
 
 def brute_force_sigma(
-    g: Graph, k: int, mode: Mode, max_n: int = config.DEFAULT_MAX_BRUTE_N
+    g: Graph, k: int, mode: Mode, max_n: int = DEFAULT_MAX_BRUTE_N
 ) -> SolveResult:
     """Exhaustive minimum over all 2^n sign functions.
 
@@ -207,9 +210,7 @@ def brute_force_sigma(
     return _brute_force(g, k, mode, False, max_n)
 
 
-def brute_force_upper(
-    g: Graph, k: int, max_n: int = config.DEFAULT_MAX_BRUTE_N
-) -> SolveResult:
+def brute_force_upper(g: Graph, k: int, max_n: int = DEFAULT_MAX_BRUTE_N) -> SolveResult:
     """Exhaustive maximum weight over minimal signed k-dominating functions."""
     return _brute_force(g, k, Mode.CLOSED, True, max_n)
 
@@ -262,7 +263,7 @@ def _dual_ascent(
 
 
 def bnb_sigma(
-    g: Graph, k: int, mode: Mode, node_budget: int = config.DEFAULT_NODE_BUDGET
+    g: Graph, k: int, mode: Mode, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveResult:
     """Branch-and-bound for sigma_kS / sigma_tkS.
 
@@ -398,19 +399,19 @@ def _min_cover(g: Graph, mode: Mode, max_n: int) -> int:
     raise AssertionError("the full vertex set always covers")
 
 
-def gamma(g: Graph, max_n: int = config.DEFAULT_MAX_SUBSET_N) -> int:
+def gamma(g: Graph, max_n: int = 20) -> int:
     """Domination number by subset enumeration in increasing size."""
     return _min_cover(g, Mode.CLOSED, max_n)
 
 
-def gamma_t(g: Graph, max_n: int = config.DEFAULT_MAX_SUBSET_N) -> int:
+def gamma_t(g: Graph, max_n: int = 20) -> int:
     """Total domination number by subset enumeration in increasing size."""
     if g.n > 0 and g.min_degree == 0:
         raise InfeasibleError("total domination undefined with isolated vertices")
     return _min_cover(g, Mode.TOTAL, max_n)
 
 
-def one_in_three_sat(formula, max_vars: int = config.DEFAULT_MAX_SAT_VARS):
+def one_in_three_sat(formula, max_vars: int = 30):
     """First assignment (lexicographic, FALSE < TRUE, variable 1 most
     significant) with exactly one TRUE per clause, or None."""
     nv = formula.num_vars

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdom import Mode, cycle, emit_certificate, emit_graph, one_factorization, path, SignFunction
+from sgdom import (
+    Graph,
+    Mode,
+    SignFunction,
+    ThreeSatFormula,
+    cycle,
+    emit_certificate,
+    emit_graph,
+    one_factorization,
+    path,
+)
 from sgdom import cli
 from sgdom.cli import main
+
+from conftest import loop_cnf_text
 
 
 @pytest.fixture
@@ -411,12 +424,21 @@ class TestUsage:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"cannot write {missing}/x")
 
-    @pytest.mark.parametrize("flag, value", [("--node-budget", "-5"), ("--max-brute-n", "-1")])
-    def test_negative_cap_is_usage_error(self, c5_path, capsys, flag, value):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--node-budget", "-5", "must be nonnegative, got -5"),
+            ("--max-brute-n", "-1", "must be nonnegative, got -1"),
+            ("--node-budget", "x", "invalid int value: 'x'"),
+            ("--max-brute-n", "1.5", "invalid int value: '1.5'"),
+        ],
+        ids=["--node-budget--5", "--max-brute-n--1", "--node-budget-x", "--max-brute-n-1.5"],
+    )
+    def test_negative_cap_is_usage_error(self, c5_path, capsys, flag, value, message):
         assert main(["solve", c5_path, "--k", "1", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: must be nonnegative, got {value}" in captured.err
+        assert f"argument {flag}: {message}" in captured.err
 
 
 def test_consecutive_calls_share_no_state(c5_path, tmp_path, capsys):
@@ -492,6 +514,103 @@ def test_verify_and_bound_never_raise(n, k, minimal, data):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(verify_argv + ["--minimal"] * minimal) in (0, 1, 2)
             assert main(["bound", "--k", str(k), str(graph_path)]) in (0, 1, 2)
+
+
+@st.composite
+def _small_files(draw, kind):
+    """Bytes of a file named on the command line: arbitrary bytes, or a
+    small graph, certificate or 1-in-3 CNF in the canonical form."""
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    n = draw(st.integers(1, 7))
+    if kind == "graph":
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+        return emit_graph(Graph(n, sorted(draw(st.sets(edge, max_size=12))))).encode()
+    if kind == "certificate":
+        values = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        k, mode = draw(st.integers(1, 2)), draw(st.sampled_from(list(Mode)))
+        return emit_certificate(SignFunction(tuple(values)), k, mode).encode()
+    n = max(n, 3)
+    clause = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True).map(tuple)
+    return loop_cnf_text(ThreeSatFormula(n, tuple(draw(st.lists(clause, max_size=4))))).encode()
+
+
+_FILE_KINDS = ("graph", "certificate", "cnf", "bytes")
+
+
+def _values(valid, invalid):
+    """A pool of flag values: (valid ones, invalid ones)."""
+    return tuple(map(str, valid)), tuple(map(str, invalid))
+
+
+# The arguments of each subcommand and their pools: a pool of values, None
+# for a flag without a value, a file kind for an input path and "out" for
+# an output path.
+_K = _values(range(1, 4), [-1, 0])
+_SMALL = _values(range(13), [-1])
+_MODE = _values(["closed", "total"], ["open"])
+_FORMAT = _values(["text", "structured"], ["xml"])
+_BUDGET = _values(range(501), ["x"])
+_CLI_ARGS = {
+    "solve": {
+        "graph": "graph", "--k": _K, "--mode": _MODE,
+        "--param": _values(["sigma", "upper"], ["lower"]),
+        "--algo": _values(["bnb", "brute"], ["milp"]),
+        "--max-brute-n": _BUDGET, "--node-budget": _BUDGET, "--format": _FORMAT, "-o": "out",
+    },
+    "verify": {
+        "graph": "graph", "--cert": "certificate", "--k": _K, "--mode": _MODE,
+        "--minimal": None, "--format": _FORMAT, "-o": "out",
+    },
+    "bound": {
+        "graph": "graph", "--k": _K, "--mode": _MODE, "--n": _SMALL, "--delta": _SMALL,
+        "--Delta": _SMALL, "--format": _FORMAT, "-o": "out",
+    },
+    "gen extremal": {
+        "--k": _K, "--delta": _SMALL, "--Delta": _SMALL, "--t": _SMALL, "--mode": _MODE,
+        "-o": "out",
+    },
+    "gen onefactor": {"--n": _SMALL},
+    "reduce": {
+        "input": "graph", "--from": _values(["mds", "mtds", "1in3"], ["3sat"]), "--k": _K,
+        "-o": "out",
+    },
+}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_CLI_ARGS)), seed=st.integers(0, 2**32 - 1), data=st.data()
+)
+def test_cli_never_crashes(command, seed, data):
+    """argv drawn from pools of subcommands, flags and small values, with
+    files of arbitrary bytes or small valid texts, only ever ends with a
+    documented exit code (0-3), never with an internal error (4). Each
+    argument is left out, or given an invalid value, one time in ten."""
+    rnd = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command.split()
+        for i, (name, pool) in enumerate(_CLI_ARGS[command].items()):
+            if rnd.random() < 0.1:
+                continue
+            if name.startswith("-"):
+                argv.append(name)
+            if pool == "out":
+                argv.append(str(Path(tmp, "out" if rnd.random() < 0.9 else "no/dir/out")))
+            elif isinstance(pool, str):  # an input file of kind `pool`
+                path = Path(tmp, f"in{i}")
+                if rnd.random() < 0.9:
+                    kind = pool if rnd.random() < 0.7 else rnd.choice(_FILE_KINDS)
+                    path.write_bytes(data.draw(_small_files(kind)))
+                argv.append(str(path))
+            elif pool is not None:
+                valid, invalid = pool
+                argv.append(rnd.choice(invalid if rnd.random() < 0.1 else valid))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue()
 
 
 def test_xcheck(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -118,8 +119,9 @@ def _edge_message(n, edge, reason):
 @st.composite
 def _edge_lists(draw):
     """(n, edges): distinct pairs in either orientation, with up to three
-    out-of-range edges, self-loops, repeats of an earlier edge (either
-    orientation) and 3-tuples inserted anywhere."""
+    out-of-range edges (among them vertices far below 0 and beyond int64),
+    self-loops, repeats of an earlier edge (either orientation) and 3-tuples
+    inserted anywhere."""
     n = draw(st.integers(0, 8))
     vertex = st.integers(0, max(n - 1, 0))
     pair = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
@@ -128,7 +130,7 @@ def _edge_lists(draw):
     )
     for _ in range(draw(st.integers(0, 3))):
         u, v = draw(vertex), draw(vertex)
-        bad = [(u, draw(st.sampled_from([-1, n, n + 3]))), (u, u), (u, v, u)]
+        bad = [(u, draw(st.sampled_from([-1, n, n + 3, -(2**40), 2**63]))), (u, u), (u, v, u)]
         if edges:
             a, b = draw(st.sampled_from(edges))[:2]
             bad += [(a, b), (b, a)]
@@ -397,6 +399,15 @@ def _formulas(draw):
     return ThreeSatFormula(n, tuple(draw(st.lists(clause, max_size=12))))
 
 
+def _zero_padded(text):
+    """Canonical text with the same contents: each body number that is not a
+    sign padded with leading zeros to 7 digits, and each `+1` sign written
+    `1`."""
+    head, body = text.split("\n", 1)
+    body = re.sub(r"(?<![-+0-9])[0-9]+", lambda run: run[0].zfill(7), body)
+    return f"{head}\n{body.replace('+1', '1')}"
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(
     g=_graphs(), f=_sign_functions, k=st.integers(1, 4), mode=st.sampled_from(list(Mode)),
@@ -405,7 +416,8 @@ def _formulas(draw):
 def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode, formula):
     """What the emitters write is read back equal, as str and as bytes,
     without the per-line path; the emitters write the per-line reference
-    text byte for byte. Canonical CNF text is read in the fast lane too."""
+    text byte for byte. Canonical CNF text is read in the fast lane too, and
+    so is text with leading zeros and unsigned signs."""
     graph_text = emit_graph(g)
     cert_text = emit_certificate(f, k, mode)
     cnf_text = loop_cnf_text(formula)
@@ -419,6 +431,9 @@ def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode, formula):
             assert parse_certificate(text) == (k, mode, f)
         for text in (cnf_text, cnf_text.encode("ascii")):
             assert parse_cnf(text) == formula
+        assert _contents(parse_graph(_zero_padded(graph_text))) == _contents(g)
+        assert parse_certificate(_zero_padded(cert_text)) == (k, mode, f)
+        assert parse_cnf(_zero_padded(cnf_text)) == formula
 
 
 def test_long_emitted_text_reads_back_in_the_fast_lane():

@@ -413,6 +413,32 @@ class TestLiftProject:
         with pytest.raises(InvalidSourceError):
             lift_solution((True, True, False), art)
 
+    def test_lift_rejects_wrong_length_or_foreign_vertices(self):
+        art = reduce_1in3(ThreeSatFormula(3, ((1, 2, 3),)), 1)
+        with pytest.raises(InvalidSourceError, match="^assignment length != variable count$"):
+            lift_solution((True, False), art)
+        art = reduce_mds(path(3), 1)
+        for source in ({0, 3}, {-1, 1}):
+            with pytest.raises(
+                InvalidSourceError, match="^solution contains vertices outside the source graph$"
+            ):
+                lift_solution(source, art)
+
+    def test_project_rejects_wrong_length_infeasible_or_light_sat_certificate(self):
+        art = reduce_1in3(ThreeSatFormula(3, ((1, 2, 3),)), 1)
+        with pytest.raises(InvalidSourceError, match="^certificate length != gadget order$"):
+            project_solution(SignFunction((1,) * (art.graph.n - 1)), art)
+        with pytest.raises(InvalidSourceError, match="^certificate is not a feasible SkDF$"):
+            project_solution(SignFunction((-1,) * art.graph.n), art)
+        # A minimum certificate is minimal, but lighter than the threshold.
+        light = brute_force_sigma(art.graph, 1, Mode.CLOSED).certificate
+        assert (light.weight, art.threshold_value) == (7, 9)
+        assert is_minimal_skdf(art.graph, 1, light).minimal
+        with pytest.raises(
+            InvalidSourceError, match="^certificate weight below the SAT threshold$"
+        ):
+            project_solution(light, art)
+
     def test_project_rejects_infeasible_certificate(self):
         art = reduce_mds(path(3), 1)
         with pytest.raises(InvalidSourceError):
