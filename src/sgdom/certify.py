@@ -145,27 +145,30 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Certificate text format
 
-_SIGNS = {"+1": 1, "1": 1, "-1": -1}
-
-
 def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
-    """Parse `s sgd-cert <n> <k> <mode>` plus n `v <i> <+1|-1>` lines.
+    """Parse `s sgd-cert <n> <k> <mode>` plus n `v <i> <+1|-1>` lines, a
+    value being any integer spelling of +1 or -1 (`1`, `-01`).
 
-    Returns (k, mode, sign function). The indices of all lines are checked
-    at once; every error names the first offending line.
+    Returns (k, mode, sign function). The values and indices of all lines
+    are checked at once, a line's value first; every error names the first
+    offending line.
     """
+    def malformed(fields):
+        return f"malformed value line {' '.join(fields)!r}"
+
     (_, (n, k, mode)), rows, linenos, stop = _read_body(
-        text, "s", "sgd-cert", (int, int, Mode), "v", (int, _SIGNS),
-        lambda fields: f"malformed value line {' '.join(fields)!r}",
+        text, "s", "sgd-cert", (int, int, Mode), "v", 2, malformed
     )
     index = rows[:, 0] - 1
+    sign = np.abs(rows[:, 1]) == 1
     out = (index < 0) | (index >= n)
-    wrong = np.flatnonzero(out | _repeats(index))
+    wrong = np.flatnonzero(~sign | out | _repeats(index))
     if wrong.size:
         i = int(wrong[0])
+        fields = _line_fields(text, linenos[i])
         problem = "out of range" if out[i] else "assigned twice"
-        vertex = int(_line_fields(text, linenos[i])[1])
-        raise GraphFormatError(f"vertex {vertex} {problem}", linenos[i])
+        message = f"vertex {int(fields[1])} {problem}" if sign[i] else malformed(fields)
+        raise GraphFormatError(message, linenos[i])
     if stop is not None:
         raise stop
     if index.size != n:

@@ -4,7 +4,6 @@ and 1-factorization of complete graphs via the circle method."""
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -149,8 +148,8 @@ class _EdgeError(ValueError):
         self.reason = reason
 
 
-# A vertex beyond int64 is stored as this value, which no range accepts.
-_OUT_OF_RANGE = -1
+# A value beyond int64 is stored as this value, which no range accepts.
+_OUT_OF_RANGE = 2**63 - 1  # nor is it a sign or the CNF's closing 0
 # The largest order Graph builds: its vertices have at most 31 bits, so an
 # entry key of two vertices fits in int64.
 _MAX_ORDER = 1 << 31
@@ -306,112 +305,108 @@ def _read_lines(
         raise GraphFormatError("missing header")
 
 
-def _read_body(text, tag, magic, header, line_tag, columns, malformed):
+def _read_body(text, tag, magic, header, line_tag, width, malformed):
     """The one record reader of the graph, certificate and CNF formats.
 
     The header is read by `_read_lines`, which raises its errors. A body line
-    is `line_tag` (if not None), then one field per column of `columns`:
-    `int`, or a dict whose keys are the spellings of its values. Returns the
-    header's (lineno, values); an (r, len(columns)) int64 array, one row per
-    body line, a value beyond int64 stored as _OUT_OF_RANGE; the line number
-    of each row; and `stop`, the error of the first line whose tag, field
-    count or fields are wrong (None if there is none; the rows end before
-    it), worded by `malformed(fields)`. The caller checks the rows' values,
-    and re-reads an offending row's fields with `_line_fields`.
+    is `line_tag` (if not None), then `width` fields, each read by `int`.
+    Returns the header's (lineno, values); an (r, width) int64 array, one row
+    per body line, a value beyond int64 stored as _OUT_OF_RANGE; the line
+    number of each row; and `stop`, the error of the first line whose tag,
+    field count or fields are wrong (None if there is none; the rows end
+    before it), worded by `malformed(fields)`. The caller checks the rows'
+    values, and re-reads an offending row's fields with `_line_fields`.
 
-    Text in the canonical form of `_canonical_pattern` is tokenised by one
-    pattern match and array arithmetic, any other text line by line, to the
-    same result.
+    Text in canonical form is read by array arithmetic over its bytes, any
+    other text line by line, to the same result.
     """
-    return _canonical_rows(text, tag, magic, header, line_tag, columns) or _line_rows(
-        text, tag, magic, header, line_tag, columns, malformed
+    return _canonical_rows(text, tag, magic, header, line_tag, width) or _line_rows(
+        text, tag, magic, header, line_tag, width, malformed
     )
 
 
-def _canonical_pattern(tag, line_tag, columns) -> re.Pattern:
-    """The canonical form of a format, in which the emitters write: the
-    header on the first line, `tag` then printable ASCII tokens separated by
-    single spaces; then only body lines, their fields separated by single
-    spaces. An `int` field is 1-7 ASCII digits (the counts are at most
-    _MAX_COUNT) and a dict field one of its keys, each of which must be its
-    value's digits with an optional sign. The pattern has no group: one
-    around the header made the body's match about 20% slower."""
-    fields = [] if line_tag is None else [re.escape(line_tag.encode())]
-    for column in columns:
-        if column is int:
-            fields.append(rb"[0-9]{1,7}")
-        else:
-            fields.append(b"(?:" + b"|".join(re.escape(key.encode()) for key in column) + b")")
-    head = re.escape(tag.encode()) + rb"(?: [!-~]+)*\n"
-    return re.compile(head + b"(?:" + b" ".join(fields) + rb"\n)*")
-
-
-def _canonical_rows(text, tag, magic, header, line_tag, columns):
-    """The canonical lane of `_read_body`: row i is the digit runs on line
-    i + 2 of text in the form of `_canonical_pattern`, else None (a first
-    line that is a comment, say: the header's errors are the per-line
+def _canonical_rows(text, tag, magic, header, line_tag, width):
+    """The canonical lane of `_read_body`: row i holds the numbers of line
+    i + 2 of text in the form the emitters write, a header of printable ASCII
+    starting with `tag` then the body `_canonical_runs` checks; else None (a
+    first line that is a comment, say: the header's errors are the per-line
     lane's)."""
     if isinstance(text, str):
-        text = text.encode("utf-8")  # the pattern matches ASCII bytes only
-    if _canonical_pattern(tag, line_tag, columns).fullmatch(text) is None:
+        text = text.encode("utf-8")  # the form is ASCII bytes only
+    end = text.find(b"\n")  # the header's newline
+    head = text[:end]
+    printable = head.isascii() and head.decode().isprintable()
+    if not (printable and text.endswith(b"\n") and head.startswith(tag.encode())):
         return None
-    end = text.index(b"\n")  # the header's newline
-    first = next(_read_lines(text[:end], tag, magic, *header))
-    # The body starts at the header's newline, so each digit run has a byte
-    # before it for its sign.
+    first = next(_read_lines(head, tag, magic, *header))
+    # The body from the header's newline on: every run has a byte before it.
     chars = np.frombuffer(text, dtype=np.uint8, offset=end)
-    rows = _digit_runs(chars).reshape(-1, len(columns))
+    if (runs := _canonical_runs(chars, line_tag, width)) is None:
+        return None
+    # Horner's rule over the runs aligned at their last digit: place p of a
+    # run shorter than p + 1 digits reads as a leading zero.
+    start, stop = runs
+    size = stop - start
+    values = np.zeros(start.size, dtype=np.int64)
+    for place in range(int(size.max(initial=0)) - 1, -1, -1):
+        values *= 10
+        values += (chars.take(stop - 1 - place, mode="clip") - ord("0")) * (size > place)
+    np.negative(values, out=values, where=chars[start - 1] == ord("-"))
+    rows = values.reshape(-1, width)
     return first, rows, range(2, len(rows) + 2), None
 
 
-def _digit_runs(chars: np.ndarray) -> np.ndarray:
-    """Each maximal run of ASCII digits in chars[1:] (at most 7 digits long)
-    as a decimal int64, in order, negated when a `-` comes before it."""
-    at = np.flatnonzero(chars - ord("0") < 10)  # uint8: bytes below '0' wrap
-    if at.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)
-    last = np.append(first[1:], at.size) - 1
-    place = np.repeat(at[last], last - first + 1) - at
-    runs = np.add.reduceat((chars[at] - ord("0")) * 10**place, first)
-    runs[chars[at[first] - 1] == ord("-")] *= -1
-    return runs
+def _canonical_runs(chars, line_tag, width):
+    """(start, stop) of each run of ASCII digits in chars, a body from the
+    header's newline to the last one, if it is canonical, else None: each
+    line is `line_tag` (if not None) and `width` numbers, single spaces
+    apart, each an optional sign and 1-7 digits (the counts are at most
+    _MAX_COUNT). With each run written as one `#`, the sign before it dropped
+    and its other digits deleted, every line must read `<line_tag> # #...`;
+    a `#` of the text's own would be one more than the lines hold."""
+    digit = chars - ord("0") < 10  # uint8: bytes below '0' wrap
+    # The body starts and ends with a newline, so the edges of the digit
+    # mask pair up: a run starts at one and stops at the next.
+    edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    start, stop = edge[::2], edge[1::2]
+    if start.size % width or (stop - start).max(initial=0) > 7:
+        return None
+    form = chars.copy()
+    form[start] = ord("#")
+    before = chars[start - 1]
+    form[start[(before == ord("+")) | (before == ord("-"))] - 1] = ord("0")  # deleted
+    line = " ".join(([line_tag] if line_tag else []) + ["#"] * width)
+    lines = f"\n{line}".encode() * (start.size // width) + b"\n"
+    return (start, stop) if form.tobytes().translate(None, b"0123456789") == lines else None
 
 
-def _line_rows(text, tag, magic, header, line_tag, columns, malformed):
+def _line_rows(text, tag, magic, header, line_tag, width, malformed):
     """The per-line lane of `_read_body`. The line loop checks each line's
-    tag and field count; each column of fields is then converted by one
-    `map`, up to the first line with a field that does not convert."""
+    tag and field count; one `map(int)` then converts the fields of all
+    lines, up to the first field that does not convert."""
     lines = _read_lines(text, tag, magic, *header)
     first = next(lines)
     skip = line_tag is not None
-    width = skip + len(columns)
-    tokens: list[str] = []  # the fields of all lines, one after another
+    tokens: list[str] = []  # the fields of all lines after their tags
     linenos: list[int] = []
     stop = None
     try:
         for lineno, fields in lines:
             if skip and fields[0] != line_tag:
                 raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
-            if len(fields) != width:
+            if len(fields) != skip + width:
                 raise GraphFormatError(malformed(fields), lineno)
-            tokens += fields
+            tokens += fields[skip:]
             linenos.append(lineno)
     except GraphFormatError as exc:  # a duplicate header, too
         stop = exc
-    cut = len(linenos)
-    converted = []
-    for j, convert in enumerate(columns, start=skip):
-        convert = convert.__getitem__ if isinstance(convert, dict) else convert
-        values: list[int] = []
-        try:
-            values.extend(map(convert, tokens[j:cut * width:width]))
-        except (ValueError, KeyError):
-            cut = len(values)  # extend keeps the values read before the bad field
-        converted.append(values)
-    if cut < len(linenos):
-        stop = GraphFormatError(malformed(tokens[cut * width:(cut + 1) * width]), linenos[cut])
-    rows = np.stack([_int64_array(values[:cut]) for values in converted], axis=1)
+    values: list[int] = []
+    try:
+        values.extend(map(int, tokens))
+    except ValueError:  # extend keeps the values read before the bad field
+        lineno = linenos[len(values) // width]
+        stop = GraphFormatError(malformed(_line_fields(text, lineno)), lineno)
+    rows = _int64_array(values[:len(values) - len(values) % width]).reshape(-1, width)
     return first, rows, linenos, stop
 
 
@@ -430,7 +425,7 @@ def parse_graph(text: str | bytes) -> Graph:
     names the first offending line.
     """
     (_, (n, m)), rows, linenos, stop = _read_body(
-        text, "p", "sgd", (int, int), "e", (int, int),
+        text, "p", "sgd", (int, int), "e", 2,
         lambda fields: f"malformed edge line {' '.join(fields)!r}",
     )
     try:

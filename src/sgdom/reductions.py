@@ -82,7 +82,7 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
     line.
     """
     (header_line, (n, m)), rows, linenos, stop = _read_body(
-        text, "p", "cnf", (int, int), None, (int,) * 4, _clause_error
+        text, "p", "cnf", (int, int), None, 4, _clause_error
     )
     if n < 1:
         raise GraphFormatError("formula needs at least one variable", header_line)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +248,18 @@ class TestCertificateFormat:
         _, _, f = parse_certificate(text)
         assert f.values == (1, -1)
 
+    def test_any_integer_spelling_of_a_sign(self):
+        """A value is read as `int` reads it, in either lane; `_` is not
+        canonical, so `+0_1` is read line by line only."""
+        text = "s sgd-cert 3 1 closed\nv 1 01\nv 2 -01\nv 3 +0_1\n"
+        want = (1, Mode.CLOSED, SignFunction((1, -1, 1)))
+        assert parse_certificate(text) == want
+        canonical = text.replace("+0_1", "+01")
+        with mock.patch("sgdom.graph._canonical_rows", return_value=None):
+            assert parse_certificate(canonical) == want
+        with mock.patch("sgdom.graph._line_rows", side_effect=AssertionError("per-line path")):
+            assert parse_certificate(canonical) == want
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -269,6 +283,14 @@ class TestCertificateFormat:
             ("c\nv 4 +1\nv 1 +2", "line 3: vertex 4 out of range"),
             ("v 1 +1\nv 2 +1\nv 3 +2\nv 0 -1", "line 4: malformed value line 'v 3 +2'"),
             ("v 1 +1\nv 2 +1\ns sgd-cert 3 1 closed", "line 4: duplicate header"),
+            ("v 1 0", "line 2: malformed value line 'v 1 0'"),
+            ("v 1 -2", "line 2: malformed value line 'v 1 -2'"),
+            ("v 1 10", "line 2: malformed value line 'v 1 10'"),
+            # Beyond int64, too, and not read as some sign.
+            ("v 1 99999999999999999999", "line 2: malformed value line 'v 1 99999999999999999999'"),
+            # A line's value is checked before its vertex.
+            ("v 0 2", "line 2: malformed value line 'v 0 2'"),
+            ("v 1 +1\nv 1 2", "line 3: malformed value line 'v 1 2'"),
             ("v 1 +1\nv 2 +1", "expected 3 vertex values, found 2"),
         ],
     )

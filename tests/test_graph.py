@@ -399,6 +399,13 @@ def _formulas(draw):
     return ThreeSatFormula(n, tuple(draw(st.lists(clause, max_size=12))))
 
 
+def _plus_signed(text):
+    """Text with the same contents: a `+` before each body number that has
+    no sign."""
+    head, body = text.split("\n", 1)
+    return f"{head}\n{re.sub(r'(?<![-+0-9])(?=[0-9])', '+', body)}"
+
+
 def _zero_padded(text):
     """Canonical text with the same contents: each body number that is not a
     sign padded with leading zeros to 7 digits, and each `+1` sign written
@@ -417,7 +424,8 @@ def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode, formula):
     """What the emitters write is read back equal, as str and as bytes,
     without the per-line path; the emitters write the per-line reference
     text byte for byte. Canonical CNF text is read in the fast lane too, and
-    so is text with leading zeros and unsigned signs."""
+    so is text with leading zeros, unsigned signs or a sign on every
+    number."""
     graph_text = emit_graph(g)
     cert_text = emit_certificate(f, k, mode)
     cnf_text = loop_cnf_text(formula)
@@ -434,6 +442,9 @@ def test_emitted_text_reads_back_in_the_fast_lane(g, f, k, mode, formula):
         assert _contents(parse_graph(_zero_padded(graph_text))) == _contents(g)
         assert parse_certificate(_zero_padded(cert_text)) == (k, mode, f)
         assert parse_cnf(_zero_padded(cnf_text)) == formula
+        assert _contents(parse_graph(_plus_signed(graph_text))) == _contents(g)
+        assert parse_certificate(_plus_signed(cert_text)) == (k, mode, f)
+        assert parse_cnf(_plus_signed(cnf_text)) == formula
 
 
 def test_long_emitted_text_reads_back_in_the_fast_lane():
@@ -463,6 +474,10 @@ def _perturbations(tag):
         "double space": lambda lines, i: lines[:i] + [lines[i].replace(" ", "  ")] + lines[i + 1:],
         "plus sign": lambda lines, i: lines[:i] + [lines[i].replace(" ", " +", 1)] + lines[i + 1:],
         "leading zero": lambda lines, i: lines[:i] + [lines[i].replace(" ", " 0", 1)] + lines[i + 1:],
+        "minus sign": lambda lines, i: lines[:i] + [lines[i].replace(" ", " -", 1)] + lines[i + 1:],
+        "signed zero pad":
+            lambda lines, i: lines[:i] + [lines[i].replace(" ", " -0", 1)] + lines[i + 1:],
+        "hash field": lambda lines, i: lines[:i] + [lines[i].replace(" ", " # ", 1)] + lines[i + 1:],
         "non-ASCII digit": lambda lines, i: [line.replace("3", "\u0663") for line in lines],
         "repeated line": lambda lines, i: lines + [lines[i]],
         "reversed line": lambda lines, i: lines + [line(*lines[i].split()[:0:-1])],
