@@ -9,7 +9,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _read_body, _repeats
+from .graph import (
+    Graph,
+    GraphFormatError,
+    _emit_rows,
+    _line_fields,
+    _number,
+    _read_body,
+    _repeats,
+    _words,
+)
 
 
 class Mode(enum.Enum):
@@ -178,11 +187,11 @@ def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
     return k, mode, SignFunction(tuple(values.tolist()))
 
 
-# The sign column `emit_certificate` writes, indexed by value > 0.
-_SIGN_TEXT = np.array(["-1", "+1"], dtype=object)
+# The sign field `emit_certificate` writes, indexed by value > 0.
+_SIGN_WORDS = _words(" -1\n", " +1\n")
 
 
 def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:
     plus = np.array(f.values, dtype=np.int64) > 0
-    rows = np.column_stack((np.arange(1, len(f) + 1, dtype=object), _SIGN_TEXT.take(plus)))
-    return _emit_rows(f"s sgd-cert {len(f)} {k} {mode.value}\n", "v %d %s\n", rows)
+    head = f"s sgd-cert {len(f)} {k} {mode.value}\n"
+    return _emit_rows(head, _number(np.arange(len(f)), 1, "v "), (_SIGN_WORDS, plus))

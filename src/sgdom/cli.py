@@ -295,7 +295,9 @@ def _cmd_xcheck(args) -> int:
     """Fast self-check: a subset of the acceptance properties."""
     import random
 
+    from .certify import SignFunction
     from .graph import Graph, complete, cycle
+    from .reductions import ThreeSatFormula
 
     failures = 0
 
@@ -333,6 +335,26 @@ def _cmd_xcheck(args) -> int:
         and brute_force_sigma(g, 1, Mode.CLOSED).value == 4
     )
     check("extremal (k=1, delta=2, Delta=3, t=4) is sharp", ok)
+    # What the writers emit reads back: a gadget of each reduction, k = 2.
+    rng = random.Random(11)
+    source = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                        if v == u + 1 or rng.random() < 0.3])
+    formula = ThreeSatFormula(8, tuple(tuple(rng.sample(range(1, 9), 3)) for _ in range(6)))
+    for art in (reduce_mds(source, 2), reduce_mtds(source, 2), reduce_1in3(formula, 2)):
+        h = art.graph
+        f = SignFunction(tuple(rng.choice((-1, 1)) for _ in range(h.n)))
+        lines = emit_provenance(art).splitlines()
+        ends = [
+            f"{v + 1} {head}({','.join(map(str, rest))})"
+            for v, (head, *rest) in [(0, art.provenance[0]), (h.n - 1, art.provenance[-1])]
+        ]
+        ok = (
+            parse_graph(emit_graph(h)) == h
+            and parse_certificate(emit_certificate(f, 2, art.mode)) == (2, art.mode, f)
+            and len(lines) == h.n
+            and [lines[0], lines[-1]] == ends
+        )
+        check(f"{art.kind} gadget (k=2) text reads back", ok)
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 

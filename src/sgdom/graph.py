@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -109,8 +110,9 @@ class Graph:
         return int(self._degrees().max())
 
     def _edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (u, v) of all edges with u < v, in lexicographic order."""
-        src = np.repeat(np.arange(self.n), self._degrees())
+        """Arrays (u, v) of all edges with u < v, in lexicographic order; u is
+        int32, which holds every vertex of an order Graph accepts."""
+        src = np.repeat(np.arange(self.n, dtype=np.int32), self._degrees())
         upper = src < self._nbr
         return src[upper], self._nbr[upper]
 
@@ -447,19 +449,86 @@ def parse_graph(text: str | bytes) -> Graph:
     return g
 
 
-_EMIT_BLOCK = 1 << 16  # rows per `%`: bounds the size of one argument tuple
+# Decimal spellings shared by every writer: word i spells i, its digits in
+# the high bytes of a 64-bit word and zero bytes below them. The cache grows
+# by doubling: word i is word i // 10 moved down a byte, then i's last digit.
+# Digits are thus computed once per value, not once per row.
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64) << np.uint64(56)
+_MAX_DIGITS = 7  # 2^22, the largest count a header holds, has 7 digits
+
+_EMIT_BLOCK = 1 << 16  # rows per record: bounds the size of the temporaries
 
 
-def _emit_rows(head: str, line: str, rows: np.ndarray) -> str:
-    """head, then `line` formatted with each row of rows, one `%` a block."""
-    blocks = (rows[i:i + _EMIT_BLOCK] for i in range(0, len(rows), _EMIT_BLOCK))
-    return head + "".join((line * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+def _digit_words(stop: int) -> np.ndarray:
+    """The digit cache, grown to spell at least 0..stop-1."""
+    global _DIGITS
+    while len(_DIGITS) < stop:
+        high, low = np.divmod(np.arange(len(_DIGITS), 2 * len(_DIGITS)), 10)
+        low = low.astype(np.uint64) + np.uint64(ord("0"))
+        grown = _DIGITS[high] >> np.uint64(8) | low << np.uint64(56)
+        _DIGITS = np.concatenate((_DIGITS, grown))
+    return _DIGITS
+
+
+def _words(*texts: str) -> np.ndarray:
+    """A (len(texts), w) table of little-endian words: row i holds the ASCII
+    texts[i] and zero bytes after it, in as few words as the longest needs."""
+    size = -(-max(map(len, texts)) // 8)
+    spelled = b"".join(text.encode("ascii").ljust(8 * size, b"\0") for text in texts)
+    return np.frombuffer(spelled, dtype="<u8").reshape(len(texts), size)
+
+
+def _number(column: np.ndarray, offset: int = 0, prefix: str = "", suffix: str = ""):
+    """The field of `_emit_rows` that writes each value of column plus offset
+    in decimal, between prefix and suffix: (table, column), row i of the
+    table spelling prefix, i + offset, suffix. Values plus offset must be
+    nonnegative and have at most _MAX_DIGITS digits; every count and index
+    of the formats lies in 0.._MAX_COUNT.
+
+    One word holds the digits, moved down to make room for the suffix's
+    first bytes at the top; the prefix's last bytes take the bottom bytes
+    that no value's digits reach. What does not fit gets words of its own
+    before or after it, which the zero bytes between keep in order."""
+    stop = int(column.max(initial=0)) + offset + 1
+    if stop > 10**_MAX_DIGITS:
+        raise ValueError(f"cannot write {stop - 1}: more than {_MAX_DIGITS} digits")
+    room = 8 - len(str(stop - 1))
+    tail = suffix[:room]
+    cut = max(len(prefix) - (room - len(tail)), 0)
+    ends = int.from_bytes(prefix[cut:].encode(), "little")
+    ends |= int.from_bytes(tail.encode(), "little") << 8 * (8 - len(tail))
+    before, after = _words(prefix[:cut]), _words(suffix[len(tail):])
+    at = before.shape[1]
+    table = np.empty((stop - offset, at + 1 + after.shape[1]), dtype="<u8")
+    table[:, :at] = before
+    table[:, at] = _digit_words(stop)[offset:stop] >> np.uint64(8 * len(tail)) | np.uint64(ends)
+    table[:, at + 1:] = after
+    return table, column
+
+
+def _emit_rows(head: str, *fields) -> str:
+    """head, then the text of each row: for each field (table, column), in
+    order, the words of table[column[row]], their zero bytes dropped.
+
+    Each block of _EMIT_BLOCK rows takes the words of every field into one
+    (rows, words) record of little-endian words, whose bytes, copied out,
+    lose their zero bytes to one `bytes.translate`."""
+    rows = len(fields[0][1])
+    cut = [0, *accumulate(table.shape[1] for table, _ in fields)]
+    parts = [head]
+    for start in range(0, rows, _EMIT_BLOCK):
+        block = slice(start, start + _EMIT_BLOCK)
+        record = np.empty((min(rows - start, _EMIT_BLOCK), cut[-1]), dtype="<u8")
+        for (table, column), a, b in zip(fields, cut, cut[1:]):
+            np.take(table, column[block], axis=0, out=record[:, a:b])
+        parts.append(record.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def emit_graph(g: Graph) -> str:
     """Canonical text form: header, then edges `e u v` with u < v, sorted."""
     u, v = g._edge_columns()
-    return _emit_rows(f"p sgd {g.n} {g.m}\n", "e %d %d\n", np.column_stack((u + 1, v + 1)))
+    return _emit_rows(f"p sgd {g.n} {g.m}\n", _number(u, 1, "e "), _number(v, 1, " ", "\n"))
 
 
 # ---------------------------------------------------------------------------

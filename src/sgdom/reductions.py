@@ -11,7 +11,7 @@ from itertools import repeat
 import numpy as np
 
 from .certify import Mode, SignFunction, _mode_sums, is_minimal_skdf, verify
-from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _read_body
+from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _number, _read_body
 
 MTDS = "mtds"
 MDS = "mds"
@@ -167,9 +167,10 @@ def emit_provenance(art: ReductionArtifact) -> str:
     start = 1
     for head, columns in art.labels:
         rows = len(columns[0])
-        line = f"%d {head}({','.join(['%d'] * len(columns))})\n"
-        ids = np.arange(start, start + rows)
-        parts.append(_emit_rows("", line, np.column_stack((ids, *columns))))
+        prefixes = [f" {head}("] + [","] * (len(columns) - 1)
+        suffixes = [""] * (len(columns) - 1) + [")\n"]
+        fields = [_number(c, 0, p, s) for c, p, s in zip(columns, prefixes, suffixes)]
+        parts.append(_emit_rows("", _number(np.arange(rows), start), *fields))
         start += rows
     return "".join(parts)
 

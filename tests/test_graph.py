@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdom import (
@@ -31,12 +31,15 @@ from sgdom import (
     reduce_mtds,
 )
 from sgdom import extremal, reductions
-from sgdom.graph import _MAX_ORDER, _entry_keys
+from sgdom import graph as graph_module
+from sgdom.graph import _MAX_ORDER, _emit_rows, _entry_keys, _number
+from sgdom.reductions import emit_provenance
 
 from conftest import (
     loop_certificate_text,
     loop_cnf_text,
     loop_graph_text,
+    loop_provenance_text,
     random_connected_graph,
     reference_graph,
 )
@@ -454,6 +457,89 @@ def test_long_emitted_text_reads_back_in_the_fast_lane():
     with mock.patch("sgdom.graph._line_rows", refuse):
         assert parse_graph(emit_graph(g)) == g
         assert parse_certificate(emit_certificate(f, 2, Mode.TOTAL)) == (2, Mode.TOTAL, f)
+
+
+def _percent_text(head, line, rows):
+    """The reference writer: head, then `line` formatted by `%` with each
+    row."""
+    return head + "".join(line % tuple(row) for row in rows)
+
+
+# Written values on both sides of each digit count up to 7 digits; the
+# largest are given as explicit examples, with offsets that keep their tables
+# small.
+_BOUNDARIES = [0] + [b for d in range(1, 7) for b in (10**d - 1, 10**d)]
+
+
+@st.composite
+def _layouts(draw):
+    """Fields (prefix, written values, offset) of equal length, and the
+    suffix that ends each line."""
+    rows = draw(st.integers(0, 12))
+    fields = []
+    prefixes = ["", "e ", "v ", " ", ",", " variable_block(", " clique_block("]
+    for prefix in draw(st.lists(st.sampled_from(prefixes), min_size=1, max_size=3)):
+        value = st.sampled_from(_BOUNDARIES) | st.integers(0, 2000)
+        values = draw(st.lists(value, min_size=rows, max_size=rows))
+        fields.append((prefix, values, draw(st.integers(0, min(values, default=0)))))
+    return fields, draw(st.sampled_from(["", "\n", ")\n"]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(layout=_layouts(), block=st.sampled_from([1, 2, 3, graph_module._EMIT_BLOCK]))
+@example(
+    layout=(
+        [
+            (" variable_block(", [9_999_999, 9_999_990], 9_999_990),
+            (",", [2**22, 2**22 - 1], 2**22 - 1),
+        ],
+        ")\n",
+    ),
+    block=1,
+)
+@example(
+    layout=([("e ", [999_999, 10**6, 10**6], 999_990), (" ", [2**22] * 3, 2**22)], "\n"), block=3
+)
+def test_writer_matches_percent_formatting(layout, block):
+    """The word-table writer spells each field as `%d` does: values at digit
+    boundaries, a prefix longer than a word, a two-byte suffix, no rows,
+    and blocks of 1-3 rows, a row count a multiple of the block included."""
+    fields, suffix = layout
+    line = "".join(prefix + "%d" for prefix, _, _ in fields) + suffix
+    rows = list(zip(*(values for _, values, _ in fields)))
+    last = len(fields) - 1
+    written = [
+        _number(np.array(values, dtype=np.int64) - offset, offset, prefix, suffix * (i == last))
+        for i, (prefix, values, offset) in enumerate(fields)
+    ]
+    with mock.patch.object(graph_module, "_EMIT_BLOCK", block):
+        assert _emit_rows("head\n", *written) == _percent_text("head\n", line, rows)
+
+
+def test_writers_on_empty_bodies():
+    assert emit_graph(Graph(0, [])) == loop_graph_text(Graph(0, [])) == "p sgd 0 0\n"
+    assert emit_certificate(SignFunction(()), 2, Mode.TOTAL) == "s sgd-cert 0 2 total\n"
+    art = reduce_1in3(ThreeSatFormula(2, ()), 1)
+    assert art.graph.n == 8 and len(art.labels[0][1][0]) == 0  # a clause run of no rows
+    assert emit_graph(art.graph) == loop_graph_text(art.graph)
+    assert emit_provenance(art) == loop_provenance_text(art.provenance)
+
+
+def test_digit_cache_grown_between_calls():
+    """A small graph, then a large one, whose numbers grow the cache, then
+    the small one again: the same text, the reference's."""
+    small, large = path(12), path(5000)
+    with mock.patch.object(graph_module, "_DIGITS", graph_module._DIGITS[:10]):
+        first = emit_graph(small)
+        assert len(graph_module._DIGITS) < 5000
+        assert emit_graph(large) == loop_graph_text(large)
+        assert len(graph_module._DIGITS) >= 5000
+        assert emit_graph(small) == first == loop_graph_text(small)
+
+
+def test_writer_refuses_more_than_seven_digits():
+    with pytest.raises(ValueError, match="cannot write 10000000: more than 7 digits"):
+        _number(np.array([9_999_999]), 1)
 
 
 def _perturbations(tag):

@@ -298,6 +298,20 @@ class TestArrayBuilders:
             tracemalloc.stop()
         assert peak <= 4 * (h._nbr.nbytes + h._ptr.nbytes)
 
+    def test_peak_memory_of_writing_a_gadget(self):
+        """Writing the 99k edges of a gadget holds at most five times the
+        bytes of the text: the edge columns, one block's record and the text
+        twice while its blocks are joined, with no stacked or shifted copy
+        of the columns."""
+        h = reduce_mds(path(3), 40).graph
+        tracemalloc.start()
+        try:
+            text = emit_graph(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text)
+
 
 class TestSatConstruction:
     def test_single_clause(self):
