@@ -257,67 +257,47 @@ class Matching:
 # still fits in a few hundred megabytes; a larger count is refused before
 # anything is allocated for it.
 _MAX_COUNT = 1 << 22
+# The widest number the writers emit and the canonical lane reads: a count.
+_MAX_DIGITS = len(str(_MAX_COUNT))
 
 
-def _read_lines(
-    text: str | bytes, tag: str, magic: str, *header
-) -> Iterator[tuple[int, list]]:
-    """One pass over a line format shared by the graph, certificate and CNF
-    parsers.
-
-    Lines are numbered from 1; blank lines and lines starting with `c` are
-    skipped. The header is `<tag> <magic>` followed by one field per
-    converter in `header`; fields read by `int` are counts and must lie in
-    0.._MAX_COUNT. Yields (lineno, converted header fields) first, then
-    (lineno, fields) for every later line. A line before the header, a
-    second header and a missing header are format errors.
-    """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    header_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "c":
-            continue
-        if fields[0] != tag:
-            if header_line is None:
-                raise GraphFormatError(f"{fields[0]!r} before header", lineno)
-            yield lineno, fields
-            continue
-        if header_line is not None:
-            raise GraphFormatError("duplicate header", lineno)
-        malformed = GraphFormatError(f"malformed header {raw.strip()!r}", lineno)
-        if len(fields) != len(header) + 2 or fields[1] != magic:
-            raise malformed
-        try:
-            values = [parse(x) for parse, x in zip(header, fields[2:])]
-        except ValueError:
-            raise malformed from None
-        counts = [x for parse, x in zip(header, values) if parse is int]
-        if min(counts) < 0:
-            raise GraphFormatError("negative counts in header", lineno)
-        if max(counts) > _MAX_COUNT:
-            raise GraphFormatError(f"count too large (limit {_MAX_COUNT})", lineno)
-        header_line = lineno
-        yield lineno, values
-    if header_line is None:
-        raise GraphFormatError("missing header")
+def _header(line: str, lineno: int, tag: str, magic: str, header) -> list:
+    """The converted fields of the header `line`, line `lineno` of its text
+    and the first that is neither blank nor a comment: `<tag> <magic>`, then
+    one field per converter in `header`. Fields read by `int` are counts and
+    must lie in 0.._MAX_COUNT."""
+    fields = line.split()
+    if fields[0] != tag:
+        raise GraphFormatError(f"{fields[0]!r} before header", lineno)
+    malformed = GraphFormatError(f"malformed header {line.strip()!r}", lineno)
+    if len(fields) != len(header) + 2 or fields[1] != magic:
+        raise malformed
+    try:
+        values = [parse(x) for parse, x in zip(header, fields[2:])]
+    except ValueError:
+        raise malformed from None
+    counts = [x for parse, x in zip(header, values) if parse is int]
+    if min(counts) < 0:
+        raise GraphFormatError("negative counts in header", lineno)
+    if max(counts) > _MAX_COUNT:
+        raise GraphFormatError(f"count too large (limit {_MAX_COUNT})", lineno)
+    return values
 
 
 def _read_body(text, tag, magic, header, line_tag, width, malformed):
     """The one record reader of the graph, certificate and CNF formats.
 
-    The header is read by `_read_lines`, which raises its errors. A body line
-    is `line_tag` (if not None), then `width` fields, each read by `int`.
+    Lines are numbered from 1; blank lines and lines starting with `c` are
+    skipped. The first other line is the header, read by `_header`, which
+    raises its errors; a missing header is an error. A body line is
+    `line_tag` (if not None), then `width` fields, each read by `int`.
     Returns the header's (lineno, values); an (r, width) int64 array, one row
     per body line, a value beyond int64 stored as _OUT_OF_RANGE; the line
     number of each row; and `stop`, the error of the first line whose tag,
-    field count or fields are wrong (None if there is none; the rows end
-    before it), worded by `malformed(fields)`. The caller checks the rows'
-    values, and re-reads an offending row's fields with `_line_fields`.
+    field count or fields are wrong, a second header too (None if there is
+    none; the rows end before it), worded by `malformed(fields)`. The caller
+    checks the rows' values, and re-reads an offending row's fields with
+    `_line_fields`.
 
     Text in canonical form is read by array arithmetic over its bytes, any
     other text line by line, to the same result.
@@ -340,7 +320,7 @@ def _canonical_rows(text, tag, magic, header, line_tag, width):
     printable = head.isascii() and head.decode().isprintable()
     if not (printable and text.endswith(b"\n") and head.startswith(tag.encode())):
         return None
-    first = next(_read_lines(head, tag, magic, *header))
+    first = 1, _header(head.decode(), 1, tag, magic, header)
     # The body from the header's newline on: every run has a byte before it.
     chars = np.frombuffer(text, dtype=np.uint8, offset=end)
     if (runs := _canonical_runs(chars, line_tag, width)) is None:
@@ -362,16 +342,16 @@ def _canonical_runs(chars, line_tag, width):
     """(start, stop) of each run of ASCII digits in chars, a body from the
     header's newline to the last one, if it is canonical, else None: each
     line is `line_tag` (if not None) and `width` numbers, single spaces
-    apart, each an optional sign and 1-7 digits (the counts are at most
-    _MAX_COUNT). With each run written as one `#`, the sign before it dropped
-    and its other digits deleted, every line must read `<line_tag> # #...`;
-    a `#` of the text's own would be one more than the lines hold."""
+    apart, each an optional sign and 1.._MAX_DIGITS digits. With each run
+    written as one `#`, the sign before it dropped and its other digits
+    deleted, every line must read `<line_tag> # #...`; a `#` of the text's
+    own would be one more than the lines hold."""
     digit = chars - ord("0") < 10  # uint8: bytes below '0' wrap
     # The body starts and ends with a newline, so the edges of the digit
     # mask pair up: a run starts at one and stops at the next.
     edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1
     start, stop = edge[::2], edge[1::2]
-    if start.size % width or (stop - start).max(initial=0) > 7:
+    if start.size % width or (stop - start).max(initial=0) > _MAX_DIGITS:
         return None
     form = chars.copy()
     form[start] = ord("#")
@@ -383,25 +363,39 @@ def _canonical_runs(chars, line_tag, width):
 
 
 def _line_rows(text, tag, magic, header, line_tag, width, malformed):
-    """The per-line lane of `_read_body`. The line loop checks each line's
-    tag and field count; one `map(int)` then converts the fields of all
-    lines, up to the first field that does not convert."""
-    lines = _read_lines(text, tag, magic, *header)
-    first = next(lines)
+    """The per-line lane of `_read_body`. One loop reads the header and
+    checks each later line's tag and field count, up to `stop`; one
+    `map(int)` then converts the fields of all lines, up to the first field
+    that does not convert."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     skip = line_tag is not None
+    first = stop = None
     tokens: list[str] = []  # the fields of all lines after their tags
     linenos: list[int] = []
-    stop = None
-    try:
-        for lineno, fields in lines:
-            if skip and fields[0] != line_tag:
-                raise GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
-            if len(fields) != skip + width:
-                raise GraphFormatError(malformed(fields), lineno)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
+            continue
+        if first is None:
+            first = lineno, _header(raw, lineno, tag, magic, header)
+            continue
+        if fields[0] == tag:
+            stop = GraphFormatError("duplicate header", lineno)
+        elif skip and fields[0] != line_tag:
+            stop = GraphFormatError(f"unrecognized line {' '.join(fields)!r}", lineno)
+        elif len(fields) != skip + width:
+            stop = GraphFormatError(malformed(fields), lineno)
+        else:
             tokens += fields[skip:]
             linenos.append(lineno)
-    except GraphFormatError as exc:  # a duplicate header, too
-        stop = exc
+            continue
+        break
+    if first is None:
+        raise GraphFormatError("missing header")
     values: list[int] = []
     try:
         values.extend(map(int, tokens))
@@ -413,7 +407,7 @@ def _line_rows(text, tag, magic, header, line_tag, width, malformed):
 
 
 def _line_fields(text: str | bytes, lineno: int) -> list[str]:
-    """The fields of line `lineno` of text, numbered as `_read_lines`
+    """The fields of line `lineno` of text, numbered as `_read_body`
     numbers them: the original tokens of an offending row, for its error."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -454,7 +448,6 @@ def parse_graph(text: str | bytes) -> Graph:
 # by doubling: word i is word i // 10 moved down a byte, then i's last digit.
 # Digits are thus computed once per value, not once per row.
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64) << np.uint64(56)
-_MAX_DIGITS = 7  # 2^22, the largest count a header holds, has 7 digits
 
 _EMIT_BLOCK = 1 << 16  # rows per record: bounds the size of the temporaries
 

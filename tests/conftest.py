@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
-from sgdom import Graph, Mode, SignFunction
+from sgdom import Graph, GraphFormatError, Mode, SignFunction
 
 
 class DrawnGraph(Graph):
@@ -258,6 +258,21 @@ def loop_cnf_text(formula):
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     lines += [f"{a} {b} {c} 0" for a, b, c in formula.clauses]
     return "\n".join(lines) + "\n"
+
+
+def format_error_cases(*cases):
+    """pytest params (text, line, message), each with its text as its id."""
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+def assert_format_error(parse, text, line, message):
+    """parse refuses text, as str and as bytes, with exactly this message,
+    prefixed by `line <line>: ` when it names a line."""
+    for raw in (text, text.encode("ascii")):
+        with pytest.raises(GraphFormatError) as exc:
+            parse(raw)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
 @pytest.fixture

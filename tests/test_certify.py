@@ -23,10 +23,12 @@ from sgdom.graph import GraphFormatError
 from conftest import (
     DrawnGraph,
     all_signs,
+    assert_format_error,
     definitionally_minimal,
     feasible,
     first_offending,
     forced_reference,
+    format_error_cases,
     nbhd,
     nbhd_sums,
     random_graph,
@@ -261,19 +263,27 @@ class TestCertificateFormat:
             assert parse_certificate(canonical) == want
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "s sgd-cert 2 1 closed\nv 1 +1\n",  # missing vertex
-            "s sgd-cert 2 1 closed\nv 1 +1\nv 1 -1\nv 2 +1\n",  # duplicate
-            "s sgd-cert 2 1 closed\nv 1 +2\nv 2 +1\n",  # bad value
-            "s sgd-cert 2 1 sideways\nv 1 +1\nv 2 +1\n",  # bad mode
-            "v 1 +1\n",  # no header
-            "s sgd-cert 2 1 closed\nv 99999999999999999999 +1\nv 2 +1\n",  # beyond int64
-        ],
+        "text, line, message",
+        format_error_cases(
+            ("s sgd-cert 2 1 closed\nv 1 +1\n", None, "expected 2 vertex values, found 1"),
+            ("s sgd-cert 2 1 closed\nv 1 +1\nv 1 -1\nv 2 +1\n", 3, "vertex 1 assigned twice"),
+            ("s sgd-cert 2 1 closed\nv 1 +2\nv 2 +1\n", 2, "malformed value line 'v 1 +2'"),
+            (
+                "s sgd-cert 2 1 sideways\nv 1 +1\nv 2 +1\n", 1,
+                "malformed header 's sgd-cert 2 1 sideways'",
+            ),
+            ("v 1 +1\n", 1, "'v' before header"),
+            (
+                "s sgd-cert 2 1 closed\nv 99999999999999999999 +1\nv 2 +1\n", 2,
+                "vertex 99999999999999999999 out of range",
+            ),
+            ("s sgd-cert 1 1 closed\nx 1 2\n", 2, "unrecognized line 'x 1 2'"),
+            ("", None, "missing header"),
+            ("c\n", None, "missing header"),
+        ),
     )
-    def test_format_errors(self, text):
-        with pytest.raises(GraphFormatError):
-            parse_certificate(text)
+    def test_format_errors(self, text, line, message):
+        assert_format_error(parse_certificate, text, line, message)
 
     @pytest.mark.parametrize(
         "body, error",

@@ -18,6 +18,7 @@ from sgdom import (
     Graph,
     Mode,
     SignFunction,
+    SolveResult,
     ThreeSatFormula,
     cycle,
     emit_certificate,
@@ -617,3 +618,15 @@ def test_xcheck(capsys):
     assert main(["xcheck"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_xcheck_reports_a_failure(monkeypatch, capsys):
+    """CI trusts xcheck's exit code: a wrong B&B value must fail it, on the
+    one check it breaks."""
+    wrong = SolveResult("optimal", -999, None, 0)
+    monkeypatch.setattr(cli, "bnb_sigma", lambda *args, **kwargs: wrong)
+    assert main(["xcheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("PASS ")] == [
+        "FAIL bnb == brute force on random graphs"
+    ]

@@ -36,6 +36,8 @@ from sgdom.graph import _MAX_ORDER, _emit_rows, _entry_keys, _number
 from sgdom.reductions import emit_provenance
 
 from conftest import (
+    assert_format_error,
+    format_error_cases,
     loop_certificate_text,
     loop_cnf_text,
     loop_graph_text,
@@ -60,22 +62,26 @@ class TestParse:
         assert g.m == 1
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "p sgd 2 1\ne 1 1",  # self-loop
-            "p sgd 2 2\ne 1 2\ne 2 1",  # duplicate edge
-            "p sgd 2 2\ne 1 2",  # m mismatch
-            "p sgd 2 1\ne 1 3",  # out of range
-            "p sgd 2 1\ne 0 1",  # out of range (vertices are 1-indexed)
-            "p wrong 2 1\ne 1 2",  # bad header tag
-            "e 1 2\np sgd 2 1",  # edge before header
-            "p sgd 2 1\nq 1 2",  # unknown line
-            "",  # no header
-        ],
+        "text, line, message",
+        format_error_cases(
+            ("p sgd 2 1\ne 1 1", 2, "self-loop at vertex 1"),
+            ("p sgd 2 2\ne 1 2\ne 2 1", 3, "duplicate edge (1, 2)"),
+            ("p sgd 2 2\ne 1 2", None, "header declares 2 edges, found 1"),
+            ("p sgd 2 1\ne 1 3", 2, "vertex out of range in 'e 1 3'"),
+            # Vertices are 1-indexed.
+            ("p sgd 2 1\ne 0 1", 2, "vertex out of range in 'e 0 1'"),
+            ("p wrong 2 1\ne 1 2", 1, "malformed header 'p wrong 2 1'"),
+            ("e 1 2\np sgd 2 1", 1, "'e' before header"),
+            ("c note\ne 1 2\np sgd 2 1", 2, "'e' before header"),
+            ("p sgd 2 1\nq 1 2", 2, "unrecognized line 'q 1 2'"),
+            ("p sgd 3 1\nx 1 2", 2, "unrecognized line 'x 1 2'"),
+            ("p sgd 2 1\ne 1 2\np sgd 2 1\n", 3, "duplicate header"),
+            ("", None, "missing header"),
+            ("c only\n\nc more\n", None, "missing header"),
+        ),
     )
-    def test_format_errors(self, text):
-        with pytest.raises(GraphFormatError):
-            parse_graph(text)
+    def test_format_errors(self, text, line, message):
+        assert_format_error(parse_graph, text, line, message)
 
     def test_error_reports_line_number(self):
         with pytest.raises(GraphFormatError, match="line 2"):

@@ -33,7 +33,9 @@ from sgdom.reductions import InvalidSourceError, emit_provenance, gadget_size
 
 from conftest import (
     all_signs,
+    assert_format_error,
     feasible,
+    format_error_cases,
     loop_1in3_gadget,
     loop_certificate_text,
     loop_graph_text,
@@ -83,17 +85,20 @@ class TestFormula:
         assert formula.clauses == ((1, 2, 3), (2, 3, 4))
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "p cnf 3 1\n1 -2 3 0\n",  # negative literal
-            "p cnf 3 1\n1 2 3\n",  # missing terminator
-            "p cnf 3 2\n1 2 3 0\n",  # clause count mismatch
-            "1 2 3 0\n",  # no header
-        ],
+        "text, line, message",
+        format_error_cases(
+            ("p cnf 3 1\n1 -2 3 0\n", 2, "negative literals are not allowed"),
+            ("p cnf 3 1\n1 2 3\n", 2, "clause must be three literals then 0"),
+            ("p cnf 3 2\n1 2 3 0\n", None, "header declares 2 clauses, found 1"),
+            ("1 2 3 0\n", 1, "'1' before header"),
+            # A clause line has no tag: a stray one is a malformed clause.
+            ("p cnf 3 1\nx 1 2\n", 2, "malformed clause line 'x 1 2'"),
+            ("", None, "missing header"),
+            ("c x\n", None, "missing header"),
+        ),
     )
-    def test_parse_errors(self, text):
-        with pytest.raises(GraphFormatError):
-            parse_cnf(text)
+    def test_parse_errors(self, text, line, message):
+        assert_format_error(parse_cnf, text, line, message)
 
     @pytest.mark.parametrize(
         "header,message",
@@ -147,12 +152,7 @@ class TestFormula:
     def test_clause_errors_are_pinned(self, body, line, message):
         """Every clause error, as str and as bytes, with the line it names:
         the first offending line, whichever error it has."""
-        text = f"p cnf 3 2\n1 2 3 0\n{body}\n"
-        for raw in (text, text.encode("ascii")):
-            with pytest.raises(GraphFormatError) as exc:
-                parse_cnf(raw)
-            assert exc.value.line == line
-            assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+        assert_format_error(parse_cnf, f"p cnf 3 2\n1 2 3 0\n{body}\n", line, message)
 
 
 class TestMtdsConstruction:
