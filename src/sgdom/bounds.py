@@ -96,17 +96,16 @@ def nearly_regular_bound(n: int, r: int, k: int, mode: Mode) -> BoundValue:
 
 
 def threshold_check(p: DegreeProfile, c: Fraction, mode: Mode) -> bool:
-    """True iff Delta clears the degree-gap threshold guaranteeing the bound
-    is at least c*n. c is an exact rational in (-1, 1]."""
+    """True iff the theorem's inequality num >= c*den holds with both parity
+    indicators at their least favourable value (0 in closed mode, 1 in total
+    mode), which guarantees the bound is at least c*n. c is an exact
+    rational in (-1, 1]."""
     c = Fraction(c)
     if not (-1 < c <= 1):
         raise ValueError("c must satisfy -1 < c <= 1")
     _check_mode_precondition(p, mode)
-    if mode is Mode.CLOSED:
-        threshold = ((1 - c) * p.delta + 2 * p.k - 2 * c) / (1 + c)
-    else:
-        threshold = ((1 - c) * p.delta + 2 * p.k) / (1 + c)
-    return p.Delta <= threshold
+    den = p.delta + p.Delta + (2 if mode is Mode.CLOSED else 0)
+    return p.delta - p.Delta + 2 * p.k >= c * den
 
 
 def nonneg_check(p: DegreeProfile) -> tuple[bool, bool]:

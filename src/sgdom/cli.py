@@ -100,15 +100,11 @@ def _emit(args, text_lines: Callable[[], list[str]], record: Callable[[], dict])
         sys.stdout.write(out)
 
 
-def _read_graph(path: str):
-    return parse_graph(_read_bytes(path))
-
-
 def _cmd_solve(args) -> int:
     mode = Mode(args.mode)
     if args.param == "upper" and mode is not Mode.CLOSED:
         raise ValueError("upper signed k-domination is defined only in closed mode")
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_bytes(args.graph))
     if args.param == "upper":
         result = brute_force_upper(g, args.k, max_n=args.max_brute_n)
         name = "gamma_ks"
@@ -148,7 +144,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_bytes(args.graph))
     cert_k, cert_mode, f = parse_certificate(_read_bytes(args.cert))
     k = args.k if args.k is not None else cert_k
     mode = Mode(args.mode) if args.mode else cert_mode
@@ -192,7 +188,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.graph:
-        g = _read_graph(args.graph)
+        g = parse_graph(_read_bytes(args.graph))
         profile = DegreeProfile.of_graph(g, args.k)
     else:
         if args.n is None or args.delta is None or args.Delta is None:
@@ -202,9 +198,8 @@ def _cmd_bound(args) -> int:
     num, den = bound_terms(profile, mode)
     value = lower_bound(profile, mode)
     eff = effective_bound(profile, mode)
-    shown = str(value) if value.denominator > 1 else str(value.numerator)
     lines = [
-        f"bound = {shown} ({profile.n * num}/{den})",
+        f"bound = {value} ({profile.n * num}/{den})",
         f"effective = {eff}",
     ]
     record = _record(
@@ -286,7 +281,7 @@ def _cmd_reduce(args) -> int:
     if art.kind == ONE_IN_THREE:
         sys.stdout.write(f"threshold: {art.threshold_value}\n")
     else:
-        off = art.threshold_offset
+        off = art.threshold(0)
         sys.stdout.write(f"threshold: r -> 2r {'+' if off >= 0 else '-'} {abs(off)}\n")
     return EXIT_OK
 

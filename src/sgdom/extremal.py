@@ -5,10 +5,11 @@ with the optimal certificate (+1 on the a-sides, -1 on the b-sides)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .bounds import DegreeProfile, bound_terms, lower_bound
 from .certify import Mode, SignFunction
-from .graph import Graph, _circle_factor
+from .graph import Graph, _factor_rounds
 
 
 def extremal_params(k: int, delta: int, Delta: int, mode: Mode) -> tuple[int, int]:
@@ -103,8 +104,8 @@ def build_extremal(spec: ExtremalSpec) -> tuple[Graph, SignFunction]:
         for y in range(b)
     ]
     for side, r in ((spec.p_vertices, spec.Delta - b), (spec.q_vertices, spec.delta - a)):
-        for i in range(r):
-            edges.extend((side[u], side[v]) for u, v in _circle_factor(len(side), i))
+        for pairs in islice(_factor_rounds(len(side)), r):
+            edges.extend((side[u], side[v]) for u, v in pairs)
     g = Graph(spec.order, edges)
     assert g.m == spec.size
     cert = SignFunction.from_plus_set(g.n, spec.p_vertices)

@@ -550,24 +550,20 @@ def cycle(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # 1-factorization (circle method)
 
-def _circle_factor(n: int, r: int) -> list[tuple[int, int]]:
-    """Round r of the circle method on K_n, n even: vertex n-1 stays fixed,
-    the others rotate. Each pair (u, v) has u < v."""
-    hub = n - 1
-    pairs = [(r, hub)]
-    for i in range(1, n // 2):
-        u = (r + i) % hub
-        v = (r - i) % hub
-        pairs.append((min(u, v), max(u, v)))
-    return pairs
-
-
 def _factor_rounds(n: int) -> Iterator[list[tuple[int, int]]]:
-    """The n-1 rounds of the circle method on K_n, each sorted, made one at
-    a time; n is checked at the call."""
+    """The n-1 rounds of the circle method on K_n, made one at a time; n is
+    checked at the call. Vertex n-1 stays fixed and the others rotate: round
+    r pairs r with n-1, and r+i with r-i (mod n-1) for 0 < i < n/2. As r+i
+    and r-i sum to 2r, that pairs each u != r with 2r-u (mod n-1, which is
+    odd, so 2r-u = u only at u = r); walking u upward lists the round
+    sorted, with u < v in every pair (u, v)."""
     if n <= 0 or n % 2 != 0:
         raise ValueError("1-factorization requires even n >= 2")
-    return (sorted(_circle_factor(n, r)) for r in range(n - 1))
+    hub = n - 1
+    return (
+        [(u, v if u != v else hub) for u in range(hub) if u <= (v := (2 * r - u) % hub)]
+        for r in range(hub)
+    )
 
 
 def one_factorization(n: int) -> list[Matching]:

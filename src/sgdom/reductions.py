@@ -141,12 +141,6 @@ class ReductionArtifact:
     def mode(self) -> Mode:
         return Mode.TOTAL if self.kind == MTDS else Mode.CLOSED
 
-    @property
-    def threshold_offset(self) -> int | None:
-        if self.kind == ONE_IN_THREE:
-            return None
-        return self.T - self.source_graph.n
-
     def threshold(self, r: int | None = None) -> int:
         """Map a source threshold r to the signed threshold; the SAT
         reduction has a fixed threshold and ignores r."""
@@ -154,7 +148,7 @@ class ReductionArtifact:
             return self.threshold_value
         if r is None:
             raise ValueError("set reductions need a source threshold r")
-        return 2 * r + self.threshold_offset
+        return 2 * r + self.T - self.source_graph.n
 
     def vertex_of(self, label: tuple) -> int:
         return self._label_index[label]
@@ -320,9 +314,8 @@ def lift_solution(source, art: ReductionArtifact) -> SignFunction:
                 raise InvalidSourceError(f"clause {clause} is not 1-in-3 satisfied")
         values = [1] * art.graph.n
         for j in range(formula.num_vars):
-            x1 = art.vertex_of(("variable_block", j + 1, 0))
-            x2 = art.vertex_of(("variable_block", j + 1, 1))
-            values[x2 if truth[j] else x1] = -1
+            # x''_j (local index 1) gets -1 when x_j is TRUE, x'_j (0) otherwise.
+            values[art.vertex_of(("variable_block", j + 1, int(truth[j])))] = -1
         return SignFunction(tuple(values))
 
     g = art.source_graph

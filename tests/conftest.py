@@ -10,8 +10,13 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import settings
 
 from sgdom import Graph, GraphFormatError, Mode, SignFunction
+
+# Every property test draws the same examples on every run, with no deadline.
+settings.register_profile("sgdom", derandomize=True, deadline=None)
+settings.load_profile("sgdom")
 
 
 class DrawnGraph(Graph):
@@ -181,6 +186,18 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> DrawnGraph:
 
 def all_signs(n):
     return product((-1, 1), repeat=n)
+
+
+def circle_round(n, r):
+    """Round r of the textbook circle method on K_n, n even, as a set of
+    pairs (u, v) with u < v: r meets the hub n-1, and r+i meets r-i (mod
+    n-1) for 0 < i < n/2."""
+    hub = n - 1
+    pairs = {(r, hub)}
+    for i in range(1, n // 2):
+        u, v = (r + i) % hub, (r - i) % hub
+        pairs.add((min(u, v), max(u, v)))
+    return pairs
 
 
 # Per-edge reference builders for the reduction gadgets: tuples appended in

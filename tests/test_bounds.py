@@ -124,12 +124,30 @@ class TestNearlyRegular:
 
 class TestThresholdCheck:
     def test_zero_c_reduces_to_nonnegativity_condition(self):
-        for delta in range(1, 8):
-            for Delta in range(delta, delta + 6):
-                p = DegreeProfile(10, delta, Delta, 1)
-                assert threshold_check(p, Fraction(0), Mode.CLOSED) == (
-                    Delta <= delta + 2
-                )
+        for k in range(1, 6):
+            for mode in (Mode.CLOSED, Mode.TOTAL):
+                for delta in range(k, k + 7):
+                    for Delta in range(delta, delta + 2 * k + 4):
+                        p = DegreeProfile(10, delta, Delta, k)
+                        assert threshold_check(p, Fraction(0), mode) == (
+                            Delta <= delta + 2 * k
+                        )
+
+    def test_matches_the_papers_delta_threshold_form(self):
+        # The paper states the c*n corollary as a bound on Delta; the check
+        # must agree with it wherever both are defined.
+        cs = {Fraction(p, q) for q in range(1, 13) for p in range(-q + 1, q + 1)}
+        for k in range(1, 6):
+            for mode in (Mode.CLOSED, Mode.TOTAL):
+                for delta in range(k, 14):
+                    for c in cs:
+                        if mode is Mode.CLOSED:
+                            bound = ((1 - c) * delta + 2 * k - 2 * c) / (1 + c)
+                        else:
+                            bound = ((1 - c) * delta + 2 * k) / (1 + c)
+                        for Delta in range(delta, 30):
+                            p = DegreeProfile(10, delta, Delta, k)
+                            assert threshold_check(p, c, mode) == (Delta <= bound)
 
     def test_failing_instance(self):
         assert not threshold_check(DegreeProfile(10, 2, 9, 1), Fraction(0), Mode.CLOSED)

@@ -35,7 +35,7 @@ from conftest import (
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(n=st.integers(0, 12), data=st.data())
 def test_verify_matches_reference_sums(n, data):
     """verify's array sums, the forced vertices and the first offending

@@ -321,6 +321,13 @@ class TestReduce:
         assert "threshold: r -> 2r + 5" in out
         assert "original(1)" in out
 
+    @pytest.mark.parametrize("g, line", [(path(2), "r -> 2r - 2"), (path(3), "r -> 2r + 0")])
+    def test_mtds_threshold_line(self, g, line, tmp_path, capsys):
+        src = tmp_path / "g.graph"
+        src.write_text(emit_graph(g), encoding="utf-8")
+        assert main(["reduce", "--from", "mtds", "--k", "1", str(src)]) == 0
+        assert f"threshold: {line}\n" in capsys.readouterr().out
+
     def test_1in3_files(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 3 1\n1 2 3 0\n", encoding="utf-8")
@@ -502,7 +509,7 @@ def _cert_file(n):
     )
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(n=st.integers(0, 6), k=st.integers(1, 2), minimal=st.booleans(), data=st.data())
 def test_verify_and_bound_never_raise(n, k, minimal, data):
     """Fuzzed graph and certificate files give exit 0, 1 or 2, never a
@@ -579,7 +586,7 @@ _CLI_ARGS = {
 }
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(
     command=st.sampled_from(sorted(_CLI_ARGS)), seed=st.integers(0, 2**32 - 1), data=st.data()
 )

@@ -14,6 +14,8 @@ from sgdom import (
     verify,
 )
 
+from conftest import circle_round
+
 
 def admissible_triples(max_degree=5):
     for mode in (Mode.CLOSED, Mode.TOTAL):
@@ -107,6 +109,29 @@ class TestBuild:
                 q_sum = k + 1 - indicator(delta, k)
             assert all(sums[v] == p_sum for v in spec.p_vertices)
             assert all(sums[v] == q_sum for v in spec.q_vertices)
+
+    def test_edges_are_blocks_and_first_circle_rounds(self):
+        # P gets the first Delta-b rounds of the circle method on len(P)
+        # points, Q the first delta-a rounds on len(Q), through the tuples.
+        for k, delta, Delta, mode in admissible_triples(4):
+            smallest = ExtremalSpec.smallest(k, delta, Delta, mode)
+            for t in (smallest.t, smallest.t + 2):
+                spec = ExtremalSpec(k, delta, Delta, t, mode)
+                block = spec.a + spec.b
+                expected = {
+                    (u, v)
+                    for u in spec.p_vertices
+                    for v in spec.q_vertices
+                    if u // block == v // block
+                }
+                for side, rounds in (
+                    (spec.p_vertices, Delta - spec.b),
+                    (spec.q_vertices, delta - spec.a),
+                ):
+                    for r in range(rounds):
+                        expected |= {(side[u], side[v]) for u, v in circle_round(len(side), r)}
+                g, _ = build_extremal(spec)
+                assert set(g.edges()) == expected
 
     def test_infinite_family_shares_bound_ratio(self):
         g1, c1 = build_extremal(ExtremalSpec(1, 2, 3, 4, Mode.CLOSED))

@@ -37,6 +37,7 @@ from sgdom.reductions import emit_provenance
 
 from conftest import (
     assert_format_error,
+    circle_round,
     format_error_cases,
     loop_certificate_text,
     loop_cnf_text,
@@ -147,7 +148,7 @@ def _edge_lists(draw):
     return n, edges
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(case=_edge_lists())
 def test_graph_matches_reference(case):
     """Graph raises exactly when the per-edge reference does, naming the
@@ -271,7 +272,7 @@ def test_order_limit_keeps_the_keys_in_int64():
         assert str(exc.value).startswith(message)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(case=_edge_lists(), data=st.data())
 def test_parse_graph_names_reference_line(case, data):
     """The same edge lists as 1-indexed `p sgd` text, with comment lines in
@@ -353,7 +354,7 @@ def _format_text(draw, header, body):
 
 
 @pytest.mark.parametrize("fmt", sorted(_FORMATS))
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_parsers_fuzz(fmt, data):
     """Every input parses or raises GraphFormatError; bytes that are not
@@ -424,7 +425,7 @@ def _zero_padded(text):
     return f"{head}\n{body.replace('+1', '1')}"
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(
     g=_graphs(), f=_sign_functions, k=st.integers(1, 4), mode=st.sampled_from(list(Mode)),
     formula=_formulas(),
@@ -491,7 +492,7 @@ def _layouts(draw):
     return fields, draw(st.sampled_from(["", "\n", ")\n"]))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(layout=_layouts(), block=st.sampled_from([1, 2, 3, graph_module._EMIT_BLOCK]))
 @example(
     layout=(
@@ -603,7 +604,7 @@ def _per_line(parse):
 
 
 @pytest.mark.parametrize("fmt", ["graph", "certificate", "cnf"])
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(g=_graphs(), f=_sign_functions, data=st.data())
 def test_perturbed_text_matches_per_line_path(fmt, g, f, data):
     """A perturbed canonical text gives the per-line path's result, or its
@@ -660,6 +661,7 @@ class TestEmit:
 class TestGraph:
     def test_neighborhoods(self):
         g = path(3)
+        assert repr(g) == "Graph(n=3, m=2)"
         assert g.neighbors(1) == (0, 2)
         assert g.closed_neighbors(1) == (0, 1, 2)
         lone = Graph(1)
@@ -745,6 +747,13 @@ class TestOneFactorization:
 
     def test_deterministic(self):
         assert one_factorization(8) == one_factorization(8)
+
+    def test_rounds_are_the_textbook_circle_method(self):
+        for n in range(2, 41, 2):
+            factors = one_factorization(n)
+            assert [factor.pairs for factor in factors] == [
+                circle_round(n, r) for r in range(n - 1)
+            ]
 
 
 class TestMatching:
