@@ -120,7 +120,3 @@ def nonneg_check(p: DegreeProfile) -> tuple[bool, bool]:
         lower_bound(p, Mode.CLOSED) >= 0 and lower_bound(p, Mode.TOTAL) >= 0
     )
     return True, bounds_ok
-
-
-def format_bound(b: BoundValue) -> str:
-    return f"{b.numerator}/{b.denominator}"

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -68,11 +67,6 @@ class SignFunction:
         if not set(self.values) <= {-1, 1}:
             bad = next(x for x in self.values if x not in (-1, 1))
             raise ValueError(f"sign values must be -1 or +1, got {bad}")
-
-    @classmethod
-    def from_plus_set(cls, n: int, plus: Iterable[int]) -> "SignFunction":
-        plus = set(plus)
-        return cls(tuple(1 if v in plus else -1 for v in range(n)))
 
     @property
     def weight(self) -> int:

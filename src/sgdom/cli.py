@@ -14,7 +14,7 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from .bounds import DegreeProfile, bound_terms, effective_bound, format_bound, lower_bound
+from .bounds import DegreeProfile, bound_terms, effective_bound, lower_bound
 from .certify import (
     Mode,
     emit_certificate,
@@ -235,7 +235,7 @@ def _cmd_gen_extremal(args) -> int:
         f"t = {spec.t}",
         f"|P| = {spec.t * spec.a}",
         f"|Q| = {spec.t * spec.b}",
-        f"bound = {format_bound(bound)}",
+        f"bound = {bound}",
         f"weight = {cert.weight}",
     ]
     if args.output:

@@ -4,7 +4,7 @@ with the optimal certificate (+1 on the a-sides, -1 on the b-sides)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .bounds import DegreeProfile, bound_terms, lower_bound
@@ -39,19 +39,16 @@ class ExtremalSpec:
     Delta: int
     t: int
     mode: Mode
+    # The block sides, worked out once from the other fields.
+    a: int = field(init=False, repr=False, compare=False)
+    b: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        extremal_params(self.k, self.delta, self.Delta, self.mode)
+        a, b = extremal_params(self.k, self.delta, self.Delta, self.mode)
         if self.t % 2 != 0 or self.t <= self.Delta:
             raise ValueError("t must be an even integer larger than Delta")
-
-    @property
-    def a(self) -> int:
-        return extremal_params(self.k, self.delta, self.Delta, self.mode)[0]
-
-    @property
-    def b(self) -> int:
-        return extremal_params(self.k, self.delta, self.Delta, self.mode)[1]
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def order(self) -> int:
@@ -108,7 +105,7 @@ def build_extremal(spec: ExtremalSpec) -> tuple[Graph, SignFunction]:
             edges.extend((side[u], side[v]) for u, v in pairs)
     g = Graph(spec.order, edges)
     assert g.m == spec.size
-    cert = SignFunction.from_plus_set(g.n, spec.p_vertices)
+    cert = SignFunction(((1,) * a + (-1,) * b) * t)
     profile = DegreeProfile(g.n, spec.delta, spec.Delta, spec.k)
     assert cert.weight == lower_bound(profile, spec.mode)
     return g, cert

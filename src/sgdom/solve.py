@@ -90,6 +90,11 @@ def _first_optimum(
     """Value and index of the lexicographically first optimum over
     {-1,+1}^n, or None if nothing qualifies.
 
+    None comes only from an empty low filter: otherwise all +1 is feasible,
+    so some assignment is feasible (and minimal) with both halves kept and
+    the sweep sets an incumbent. A bug that left none would raise at the
+    return, an internal error (exit 4) in the CLI, not `infeasible`.
+
     The index has vertex 0 as its most significant bit and bit value 1 for
     +1. sigma (upper=False) minimises the weight over feasible assignments;
     Gamma (upper=True, closed mode) maximises it over feasible, minimal ones.
@@ -158,8 +163,6 @@ def _first_optimum(
         q = int(ok.argmax())
         best_key = int(lo_key[q] + hi_key[p])
         best_index = (p << low) | int(order[q])
-    if best_key is None:
-        return None
     return sense * best_key, best_index
 
 
@@ -282,8 +285,10 @@ def bnb_sigma(
     first node that needs them and warm-started down the search. The search
     is one loop over a stack of child records, so its depth is not limited
     by Python's recursion limit; a child whose unit rule conflicts is not
-    counted as a node. Always agrees with brute_force_sigma on the value; the certificate
-    is the first optimal leaf in branch order (degree order, -1 before +1).
+    counted as a node. Its answer is brute_force_sigma's on the graph with
+    the vertices relabelled in (|N_mode(v)|, v) order, mapped back: the
+    certificate is the lexicographically first optimum (-1 < +1) in that
+    order.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

@@ -13,7 +13,6 @@ from sgdom import (
     nonneg_check,
     threshold_check,
 )
-from sgdom.bounds import format_bound
 from sgdom.solve import OPTIMAL
 
 from conftest import random_connected_graph
@@ -190,8 +189,3 @@ class TestNonnegCheck:
                 for Delta in range(delta, delta + 2 * k + 1):
                     cond, ok = nonneg_check(DegreeProfile(20, delta, Delta, k))
                     assert cond and ok
-
-
-def test_format_bound():
-    assert format_bound(Fraction(5, 3)) == "5/3"
-    assert format_bound(Fraction(4)) == "4/1"

@@ -249,7 +249,17 @@ class TestGen:
         assert g.n == 12
         assert verify(g, k, mode, f).feasible
         report = (tmp_path / "fam.report").read_text(encoding="utf-8")
-        assert "weight = 4" in report
+        # The bound prints as `sgd bound` prints it: an integer stays "4".
+        assert report == "a = 2\nb = 1\nt = 4\n|P| = 8\n|Q| = 4\nbound = 4\nweight = 4\n"
+        assert capsys.readouterr().out == report
+
+    def test_extremal_to_stdout(self, capsys):
+        code = main(["gen", "extremal", "--k", "1", "--delta", "2", "--Delta", "3", "--t", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith(
+            "c a = 2\nc b = 1\nc t = 4\nc |P| = 8\nc |Q| = 4\nc bound = 4\nc weight = 4\n"
+        )
 
     def test_onefactor(self, capsys):
         code = main(["gen", "onefactor", "--n", "4"])

@@ -70,6 +70,13 @@ class TestSpec:
 class TestBuild:
     def test_reference_instance(self):
         spec = ExtremalSpec(1, 2, 3, 4, Mode.CLOSED)
+        # The block sides are fields kept out of repr, equality and hash.
+        assert (spec.a, spec.b) == (2, 1)
+        assert repr(spec) == (
+            "ExtremalSpec(k=1, delta=2, Delta=3, t=4, mode=<Mode.CLOSED: 'closed'>)"
+        )
+        twin = ExtremalSpec(1, 2, 3, 4, Mode.CLOSED)
+        assert twin == spec and hash(twin) == hash(spec)
         g, cert = build_extremal(spec)
         assert g.n == 12
         assert all(g.degree(v) == 3 for v in spec.p_vertices)

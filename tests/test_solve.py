@@ -268,6 +268,53 @@ class TestBranchAndBound:
                         assert report.feasible
                         assert bb.certificate.weight == bb.value
 
+    def test_certificate_is_the_first_optimum_in_degree_order(self, rng):
+        """The certificate is the lexicographically first optimum (-1 < +1)
+        with the vertices in (|N_mode(v)|, v) order: brute force on the graph
+        relabelled into that order, mapped back, gives the same answer."""
+        seen = Counter()
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 14), rng.choice([0.2, 0.35, 0.5]))
+            for mode in (Mode.CLOSED, Mode.TOTAL):
+                order = sorted(range(g.n), key=lambda v: (len(nbhd(g, v, mode)), v))
+                label = {v: i for i, v in enumerate(order)}
+                relabelled = DrawnGraph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+                for k in (1, 2, 3):
+                    bf = brute_force_sigma(relabelled, k, mode)
+                    bb = bnb_sigma(g, k, mode)
+                    cert = None if bf.certificate is None else SignFunction(
+                        tuple(bf.certificate[label[v]] for v in range(g.n))
+                    )
+                    assert (bb.status, bb.value, bb.certificate) == (bf.status, bf.value, cert)
+                    seen[bb.status] += 1
+        assert seen[OPTIMAL] > 300 and seen[INFEASIBLE] > 300
+
+    def test_matches_milp_beyond_brute_force(self, rng):
+        """Orders past brute force, against scipy's MILP: x = 2z - 1 with z
+        binary turns sum_{u in N_mode(v)} x_u >= k into 2 A z >= k + rowsum(A),
+        A the mode matrix built from the edge list, and sum x into sum 2z - n."""
+        optimize = pytest.importorskip("scipy.optimize")
+        seen = Counter()
+        for _ in range(20):
+            n = rng.randint(26, 45)
+            g = random_graph(rng, n, rng.choice([0.1, 0.15, 0.2]))
+            for k in (1, 2):
+                for mode in (Mode.CLOSED, Mode.TOTAL):
+                    a = np.array(mode_rows(g, mode))
+                    ilp = optimize.milp(
+                        np.full(n, 2.0),
+                        integrality=np.ones(n),
+                        bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(2 * a, lb=k + a.sum(axis=1)),
+                    )
+                    bb = bnb_sigma(g, k, mode)
+                    assert (ilp.status == 2) == (bb.status == INFEASIBLE)
+                    if bb.status != INFEASIBLE:
+                        assert (ilp.status, bb.status) == (0, OPTIMAL)
+                        assert round(ilp.fun) - n == bb.value
+                    seen[bb.status] += 1
+        assert seen[OPTIMAL] > 40 and seen[INFEASIBLE] > 20
+
     def test_degree_precondition_early_exit(self):
         assert bnb_sigma(path(3), 3, Mode.CLOSED).status == INFEASIBLE
         assert bnb_sigma(Graph(2), 1, Mode.TOTAL).status == INFEASIBLE
