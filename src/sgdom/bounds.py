@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import Mode
+from .certify import Mode, _check_k
 
 # Bound values are exact rationals; floating point is banned in this module.
 BoundValue = Fraction
@@ -16,8 +16,7 @@ BoundValue = Fraction
 
 def indicator(x: int, k: int) -> int:
     """1 iff x and k have the same parity."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     return 1 if (x - k) % 2 == 0 else 0
 
 
@@ -29,8 +28,7 @@ class DegreeProfile:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        _check_k(self.k)
         if self.n < 0:
             raise ValueError("order must be nonnegative")
         if not (0 <= self.delta <= self.Delta):

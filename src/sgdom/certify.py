@@ -30,6 +30,11 @@ class Mode(enum.Enum):
         return self.value
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 # The two helpers below are the only place that decides which neighbourhood a
 # mode sums over: N[v] in closed mode, N(v) in total mode.
 
@@ -94,8 +99,7 @@ def verify(g: Graph, k: int, mode: Mode, f: SignFunction) -> VerifyReport:
     preconditions are not enforced here, an impossible instance simply comes
     back infeasible.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     if len(f) != g.n:
         raise ValueError(f"certificate length {len(f)} != graph order {g.n}")
     sums = _mode_sums(g, np.array(f.values, dtype=np.int64), mode)
@@ -138,8 +142,7 @@ def forced_plus_vertices(g: Graph, k: int, mode: Mode) -> frozenset[int]:
     mode). u lies in N_mode(v) iff v lies in N_mode(u), so u is forced iff
     its own neighbourhood holds such a centre v.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     size = _mode_sums(g, np.ones(g.n, dtype=np.int64), mode)
     centres = ((size == k) | (size == k + 1)).astype(np.int64)
     return frozenset(np.flatnonzero(_mode_sums(g, centres, mode) > 0).tolist())

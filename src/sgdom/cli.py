@@ -131,7 +131,7 @@ def _cmd_solve(args) -> int:
             mode=mode.value,
             value=result.value,
             status=result.status,
-            certificate=list(result.certificate.values) if result.certificate else None,
+            certificate=None if result.certificate is None else list(result.certificate.values),
             nodes_explored=result.nodes_explored,
         )
 

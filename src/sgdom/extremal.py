@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .bounds import DegreeProfile, bound_terms, lower_bound
-from .certify import Mode, SignFunction
+from .certify import Mode, SignFunction, _check_k
 from .graph import Graph, _factor_rounds
 
 
@@ -17,8 +17,7 @@ def extremal_params(k: int, delta: int, Delta: int, mode: Mode) -> tuple[int, in
     extremal construction, from the bound's `bound_terms`: a block has den/2
     vertices and weight num/2. Closed mode requires Delta >= delta >= k+1,
     total mode Delta >= delta >= k+2."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     if Delta < delta:
         raise ValueError("need Delta >= delta")
     if mode is Mode.CLOSED and delta < k + 1:

@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .certify import Mode, SignFunction, _mode_sums, is_minimal_skdf, verify
+from .certify import Mode, SignFunction, _check_k, _mode_sums, is_minimal_skdf, verify
 from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _number, _read_body
 
 MTDS = "mtds"
@@ -48,6 +48,10 @@ class ThreeSatFormula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+    def _unsatisfied_clause(self, truth: tuple[bool, ...]) -> tuple[int, int, int] | None:
+        """The first clause without exactly one TRUE literal, or None."""
+        return next((c for c in self.clauses if sum(truth[x - 1] for x in c) != 1), None)
 
 
 def _bad_clauses(lits: np.ndarray, n: int) -> np.ndarray:
@@ -201,8 +205,7 @@ def _reduce_set(kind: str, g: Graph, k: int) -> ReductionArtifact:
     """The two set reductions: vertex v gets d(v) + e blocks K_s, (s, e) from
     `_block_shape`, each joined to v by one edge from the block's local
     vertex 0. The blocks follow the source vertices, in order of owner."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     if g.n == 0 or g.min_degree == 0:
         raise InvalidSourceError("reduction input must have no isolated vertices")
     size, extra = _block_shape(kind, k)
@@ -258,8 +261,7 @@ def reduce_1in3(formula: ThreeSatFormula, k: int) -> ReductionArtifact:
     variables. Gamma_kS >= (k+1)n + (k+2)m iff the formula is 1-in-3
     satisfiable.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     n, m = formula.num_vars, formula.num_clauses
     clause_size, var_size = k + 2, k + 3
     clause_bases = clause_size * np.arange(m)
@@ -309,9 +311,8 @@ def lift_solution(source, art: ReductionArtifact) -> SignFunction:
         truth = tuple(bool(x) for x in source)
         if len(truth) != formula.num_vars:
             raise InvalidSourceError("assignment length != variable count")
-        for clause in formula.clauses:
-            if sum(truth[x - 1] for x in clause) != 1:
-                raise InvalidSourceError(f"clause {clause} is not 1-in-3 satisfied")
+        if (clause := formula._unsatisfied_clause(truth)) is not None:
+            raise InvalidSourceError(f"clause {clause} is not 1-in-3 satisfied")
         values = [1] * art.graph.n
         for j in range(formula.num_vars):
             # x''_j (local index 1) gets -1 when x_j is TRUE, x'_j (0) otherwise.
@@ -353,9 +354,8 @@ def project_solution(f: SignFunction, art: ReductionArtifact):
             f[art.vertex_of(("variable_block", j + 1, 0))] == 1
             for j in range(formula.num_vars)
         )
-        for clause in formula.clauses:
-            if sum(truth[x - 1] for x in clause) != 1:
-                raise InvalidSourceError("projected assignment is not a 1-in-3 witness")
+        if formula._unsatisfied_clause(truth) is not None:
+            raise InvalidSourceError("projected assignment is not a 1-in-3 witness")
         return truth
 
     if not verify(art.graph, art.k, art.mode, f).feasible:

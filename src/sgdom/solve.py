@@ -15,6 +15,7 @@ from .bounds import indicator, parity_ceil
 from .certify import (
     Mode,
     SignFunction,
+    _check_k,
     _mode_rows,
     _mode_sums,
     is_minimal_skdf,
@@ -33,6 +34,11 @@ DEFAULT_NODE_BUDGET = 10**8
 # Low-part width of the brute-force split: the low table holds 2^14 columns
 # of n int16 sums, small enough to stay in cache.
 _LOW_BITS = 14
+
+# Largest order brute force tabulates, whatever its cap: the high table then
+# has at most 2^22 columns (36 x 2^22 int16 sums, about 300 MB). A larger
+# order is refused as cap_exceeded before any table is allocated.
+_MAX_BRUTE_ORDER = _LOW_BITS + 22
 
 # Lagrangian bound of the branch-and-bound: subgradient steps at the first
 # node that needs the bound, then per node from the parent's multipliers;
@@ -190,10 +196,9 @@ def _brute_force(
     g: Graph, k: int, mode: Mode, upper: bool, max_n: int
 ) -> SolveResult:
     """Shared body of brute_force_sigma and brute_force_upper."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     n = g.n
-    if n > max_n:
+    if n > min(max_n, _MAX_BRUTE_ORDER):
         return SolveResult(CAP_EXCEEDED, None, None, 0)
     optimum = _first_optimum(g, k, mode, upper)
     if optimum is None:
@@ -208,7 +213,8 @@ def brute_force_sigma(
     """Exhaustive minimum over all 2^n sign functions.
 
     Returns the lexicographically first optimal certificate (-1 < +1, vertex
-    order 0..n-1); deterministic and bit-identical across runs.
+    order 0..n-1); deterministic and bit-identical across runs. An order
+    above max_n or `_MAX_BRUTE_ORDER` (36) comes back cap_exceeded.
     """
     return _brute_force(g, k, mode, False, max_n)
 
@@ -290,8 +296,7 @@ def bnb_sigma(
     certificate is the lexicographically first optimum (-1 < +1) in that
     order.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     n = g.n
     ptr, dst = _mode_rows(g, mode)
     flat, ends = dst.tolist(), ptr.tolist()

@@ -98,6 +98,24 @@ class TestSolve:
         )
         assert code == 3
 
+    def test_brute_refuses_an_order_it_cannot_tabulate(self, tmp_path, capsys):
+        p = tmp_path / "c60.graph"
+        p.write_text(emit_graph(cycle(60)), encoding="utf-8")
+        code = main(["solve", "--k", "1", "--algo", "brute", "--max-brute-n", "100", str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "status = cap_exceeded\nnodes = 0\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("algo", ["brute", "bnb"])
+    def test_structured_certificate_of_the_empty_graph(self, tmp_path, capsys, algo):
+        p = tmp_path / "empty.graph"
+        p.write_text("p sgd 0 0\n", encoding="utf-8")
+        code = main(["solve", "--k", "1", "--algo", algo, "--format", "structured", str(p)])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (record["status"], record["value"], record["certificate"]) == ("optimal", 0, [])
+
     def test_output_file(self, c5_path, tmp_path, capsys):
         out = tmp_path / "result.txt"
         code = main(["solve", "--k", "1", "--algo", "brute", "-o", str(out), c5_path])

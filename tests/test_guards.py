@@ -6,6 +6,7 @@ from sgdom import (
     DegreeProfile,
     Graph,
     Mode,
+    SignFunction,
     ThreeSatFormula,
     bnb_sigma,
     brute_force_sigma,
@@ -21,6 +22,7 @@ from sgdom import (
     reduce_1in3,
     reduce_mds,
     reduce_mtds,
+    verify,
 )
 
 _POSITIVE_K = "k must be a positive integer"
@@ -47,6 +49,11 @@ _FORMULA = ThreeSatFormula(3, ((1, 2, 3),))
         ),
         pytest.param(lambda: brute_force_upper(path(3), 0), _POSITIVE_K, id="brute_force_upper"),
         pytest.param(lambda: bnb_sigma(path(3), 0, Mode.TOTAL), _POSITIVE_K, id="bnb_sigma"),
+        pytest.param(
+            lambda: verify(path(3), 0, Mode.CLOSED, SignFunction((1, 1, 1))), _POSITIVE_K,
+            id="verify",
+        ),
+        pytest.param(lambda: DegreeProfile(3, 1, 2, 0), _POSITIVE_K, id="DegreeProfile k"),
         pytest.param(lambda: Graph(-1), "vertex count must be nonnegative", id="Graph order"),
         pytest.param(
             lambda: Graph(3, [(0, 1), 5]), "edge 5 is not a pair of vertices", id="Graph edge"

@@ -427,6 +427,20 @@ class TestLiftProject:
         with pytest.raises(InvalidSourceError):
             lift_solution((True, True, False), art)
 
+    @pytest.mark.parametrize(
+        "assignment, clause",
+        [
+            ((True, True, False, False), "(1, 2, 3)"),  # two TRUE literals
+            ((True, False, False, False), "(2, 3, 4)"),  # none, after a satisfied clause
+        ],
+    )
+    def test_lift_names_the_first_unsatisfied_clause(self, assignment, clause):
+        art = reduce_1in3(ThreeSatFormula(4, ((1, 2, 3), (2, 3, 4))), 1)
+        with pytest.raises(
+            InvalidSourceError, match=f"^clause {re.escape(clause)} is not 1-in-3 satisfied$"
+        ):
+            lift_solution(assignment, art)
+
     def test_lift_rejects_wrong_length_or_foreign_vertices(self):
         art = reduce_1in3(ThreeSatFormula(3, ((1, 2, 3),)), 1)
         with pytest.raises(InvalidSourceError, match="^assignment length != variable count$"):

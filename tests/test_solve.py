@@ -97,6 +97,14 @@ class TestBruteForceSigma:
         result = brute_force_sigma(complete(6), 1, Mode.CLOSED, max_n=5)
         assert result.status == CAP_EXCEEDED and result.value is None
 
+    def test_order_past_the_table_ceiling_is_refused_whatever_the_cap(self):
+        # A 60-vertex high table would need 60 x 2^46 int16 sums; the order
+        # alone refuses it, before anything is allocated.
+        refused = solve.SolveResult(CAP_EXCEEDED, None, None, 0)
+        for n in (37, 60):
+            assert brute_force_sigma(cycle(n), 1, Mode.CLOSED, max_n=100) == refused
+            assert brute_force_upper(cycle(n), 1, max_n=100) == refused
+
 
 class TestBruteForceUpper:
     def test_triangle(self):
