@@ -31,7 +31,7 @@ class Mode(enum.Enum):
 
 
 def _check_k(k: int) -> None:
-    if k < 1:
+    if not (type(k) is int or isinstance(k, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
 
 

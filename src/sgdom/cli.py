@@ -268,8 +268,7 @@ def _cmd_reduce(args) -> int:
     else:
         source, reduce = parse_graph(text), (reduce_mtds if args.source == MTDS else reduce_mds)
         counts = source.n, source.m
-    if args.k >= 1:  # a k below 1 is left to the reduction's own error
-        _check_gen_size(*gadget_size(args.source, args.k, *counts))
+    _check_gen_size(*gadget_size(args.source, args.k, *counts))
     art = reduce(source, args.k)
     if args.output:
         base = Path(args.output)

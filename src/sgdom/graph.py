@@ -57,7 +57,7 @@ class Graph:
                 "loop": f"self-loop at vertex {u}",
                 "duplicate": f"duplicate edge ({u},{v})",
             }[reason]
-            raise _EdgeError(message, index, reason)
+            raise _RowError(message, index, reason)
         if cut is not None:
             raise ValueError(f"edge {edges[cut]!r} is not a pair of vertices")
         self.n = n
@@ -140,11 +140,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _EdgeError(ValueError):
-    """Graph's error for edges[index]; `reason` is "range", "loop" or
-    "duplicate", as found by `_first_bad_edge`."""
+class _RowError(ValueError):
+    """The first bad row, rows[index], of Graph's edges or ThreeSatFormula's
+    clauses; an edge's `reason` is "range", "loop" or "duplicate"."""
 
-    def __init__(self, message: str, index: int, reason: str):
+    def __init__(self, message: str, index: int, reason: str | None = None):
         super().__init__(message)
         self.index = index
         self.reason = reason
@@ -426,7 +426,7 @@ def parse_graph(text: str | bytes) -> Graph:
     )
     try:
         g = Graph(n, rows - 1)
-    except _EdgeError as exc:
+    except _RowError as exc:
         lineno = linenos[exc.index]
         fields = _line_fields(text, lineno)
         u, v = map(int, fields[1:])

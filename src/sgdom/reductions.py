@@ -11,7 +11,9 @@ from itertools import repeat
 import numpy as np
 
 from .certify import Mode, SignFunction, _check_k, _mode_sums, is_minimal_skdf, verify
-from .graph import Graph, GraphFormatError, _emit_rows, _line_fields, _number, _read_body
+from .graph import (
+    Graph, GraphFormatError, _RowError, _emit_rows, _line_fields, _number, _read_body,
+)
 
 MTDS = "mtds"
 MDS = "mds"
@@ -29,21 +31,21 @@ class ThreeSatFormula:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("formula needs at least one variable")
-        for clause in self.clauses:
+        for i, clause in enumerate(self.clauses):
             try:
                 distinct = len(clause) == 3 and len(set(clause)) == 3
             except TypeError:  # 5 has no length; ([1], 2, 3) cannot be hashed
                 distinct = False
             if not distinct:
-                raise ValueError(f"clause {clause} must have 3 distinct variables")
+                raise _RowError(f"clause {clause} must have 3 distinct variables", i)
             for x in clause:
                 # bool is an int, but True names no variable.
                 integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                 number = integer or isinstance(x, (float, np.floating))
                 if number and not (1 <= x <= self.num_vars):
-                    raise ValueError(f"variable {x} out of range in clause {clause}")
+                    raise _RowError(f"variable {x} out of range in clause {clause}", i)
                 if not integer:
-                    raise ValueError(f"variable {x} is not an integer in clause {clause}")
+                    raise _RowError(f"variable {x} is not an integer in clause {clause}", i)
 
     @property
     def num_clauses(self) -> int:
@@ -52,12 +54,6 @@ class ThreeSatFormula:
     def _unsatisfied_clause(self, truth: tuple[bool, ...]) -> tuple[int, int, int] | None:
         """The first clause without exactly one TRUE literal, or None."""
         return next((c for c in self.clauses if sum(truth[x - 1] for x in c) != 1), None)
-
-
-def _bad_clauses(lits: np.ndarray, n: int) -> np.ndarray:
-    """Rows of the (m, 3) literal array that are not 3 distinct variables of 1..n."""
-    a, b, c = lits.T
-    return (lits < 1).any(axis=1) | (lits > n).any(axis=1) | (a == b) | (a == c) | (b == c)
 
 
 def _clause_error(fields: list[str], n: int = 0) -> str:
@@ -82,24 +78,28 @@ def parse_cnf(text: str | bytes) -> ThreeSatFormula:
     """Parse DIMACS-style `p cnf <n> <m>` with clause lines `a b c 0`.
 
     All literals must be positive; a negative literal is a format error.
-    The clauses are checked at once; every error names the first offending
-    line.
+    The literals are checked by ThreeSatFormula; every error names the first
+    offending line.
     """
     (header_line, (n, m)), rows, linenos, stop = _read_body(
         text, "p", "cnf", (int, int), None, 4, _clause_error
     )
     if n < 1:
         raise GraphFormatError("formula needs at least one variable", header_line)
-    lits = rows[:, :3]
-    wrong = np.flatnonzero((rows[:, 3] != 0) | _bad_clauses(lits, n))
-    if wrong.size:
-        lineno = linenos[int(wrong[0])]
+    # The first row that does not end in 0, unless a clause before it is bad.
+    bad = next(iter(np.flatnonzero(rows[:, 3] != 0).tolist()), len(rows))
+    try:
+        formula = ThreeSatFormula(n, tuple(map(tuple, rows[:bad, :3].tolist())))
+    except _RowError as exc:
+        bad = exc.index
+    if bad < len(rows):
+        lineno = linenos[bad]
         raise GraphFormatError(_clause_error(_line_fields(text, lineno), n), lineno)
     if stop is not None:
         raise stop
     if len(rows) != m:
         raise GraphFormatError(f"header declares {m} clauses, found {len(rows)}")
-    return ThreeSatFormula(n, tuple(map(tuple, lits.tolist())))
+    return formula
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,7 @@ def gadget_size(kind: str, k: int, n: int, m: int) -> tuple[int, int]:
     """(vertices, edges) of the `kind` gadget for k >= 1, from n vertices and
     m edges, or n variables and m clauses. A set reduction joins 2m + n*e
     blocks K_s, (s, e) from `_block_shape`, to the source by one edge each."""
+    _check_k(k)
     if kind == ONE_IN_THREE:
         edges = m * (k + 2) * (k + 1) // 2 + n * ((k + 3) * (k + 2) // 2 - 1) + 3 * m
         return (k + 3) * n + (k + 2) * m, edges

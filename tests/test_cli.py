@@ -393,6 +393,20 @@ class TestReduce:
             assert captured.err.count("\n") == 1 and captured.err.startswith("error: output too large")
         assert list(tmp_path.iterdir()) == [src]
 
+    @pytest.mark.parametrize("source", ["mds", "mtds", "1in3"])
+    def test_k_below_one_is_refused(self, tmp_path, capsys, source):
+        src = tmp_path / "src"
+        src.write_text(
+            "p cnf 3 1\n1 2 3 0\n" if source == "1in3" else emit_graph(path(3)), encoding="utf-8"
+        )
+        out = tmp_path / "gadget"
+        for extra in ([], ["-o", str(out)]):
+            assert main(["reduce", "--from", source, "--k", "0", str(src), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: k must be a positive integer\n"
+        assert list(tmp_path.iterdir()) == [src]
+
 
 class TestUsage:
     def test_crash_is_internal_error(self, c5_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The input guards of the public functions, each with its message."""
 
+import numpy as np
 import pytest
 
 from sgdom import (
@@ -49,6 +50,16 @@ _FORMULA = ThreeSatFormula(3, ((1, 2, 3),))
         ),
         pytest.param(lambda: brute_force_upper(path(3), 0), _POSITIVE_K, id="brute_force_upper"),
         pytest.param(lambda: bnb_sigma(path(3), 0, Mode.TOTAL), _POSITIVE_K, id="bnb_sigma"),
+        # A k that is not an integer, bool included, is refused by every solver
+        # alike, so no two solvers can give it different answers.
+        *(
+            pytest.param(
+                lambda solver=solver, k=k: solver(path(3), k, Mode.CLOSED), _POSITIVE_K,
+                id=f"{name} k={k}",
+            )
+            for solver, name in ((brute_force_sigma, "brute"), (bnb_sigma, "bnb"))
+            for k in (1.5, True)
+        ),
         pytest.param(
             lambda: verify(path(3), 0, Mode.CLOSED, SignFunction((1, 1, 1))), _POSITIVE_K,
             id="verify",
@@ -90,6 +101,11 @@ _FORMULA = ThreeSatFormula(3, ((1, 2, 3),))
 def test_guard_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("solver", [brute_force_sigma, bnb_sigma])
+def test_numpy_integer_k_is_accepted(solver):
+    assert solver(path(3), np.int64(1), Mode.CLOSED) == solver(path(3), 1, Mode.CLOSED)
 
 
 def test_graph_from_a_generator_equals_one_from_a_list():

@@ -147,6 +147,9 @@ class TestFormula:
             ("1 1 2 0\np cnf 3 2", 3, "clause (1, 1, 2) must have 3 distinct variables"),
             ("c note\n2 2 1 0\n1 x", 4, "clause (2, 2, 1) must have 3 distinct variables"),
             ("3 2 1 0\n1 2 3 0", None, "header declares 2 clauses, found 3"),
+            # The first bad row wins, whether its terminator or its clause is wrong.
+            ("1 2 3 4\n1 1 2 0", 3, "clause must be three literals then 0"),
+            ("1 1 2 0\n1 2 3 4", 3, "clause (1, 1, 2) must have 3 distinct variables"),
         ],
     )
     def test_clause_errors_are_pinned(self, body, line, message):
