@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import Mode, _check_k
+from .certify import Mode, _check_k, _own
 
 # Bound values are exact rationals; floating point is banned in this module.
 BoundValue = Fraction
@@ -39,25 +39,28 @@ class DegreeProfile:
         return cls(g.n, g.min_degree, g.max_degree, k)
 
 
-def _check_mode_precondition(p: DegreeProfile, mode: Mode) -> None:
-    if mode is Mode.CLOSED and p.delta < p.k - 1:
-        raise ValueError(f"closed mode requires delta >= k-1 (delta={p.delta}, k={p.k})")
-    if mode is Mode.TOTAL and p.delta < p.k:
-        raise ValueError(f"total mode requires delta >= k (delta={p.delta}, k={p.k})")
+def _sizes(p: DegreeProfile, mode: Mode) -> tuple[int, int]:
+    """The least and largest neighbourhood sizes (s, S) = (delta + own,
+    Delta + own), own being 1 if N_mode(v) holds v. The theorem needs s >= k."""
+    own = _own(mode)
+    s, S = p.delta + own, p.Delta + own
+    if s < p.k:
+        raise ValueError(
+            f"{mode.value} mode requires delta >= k{'-1' * own} (delta={p.delta}, k={p.k})"
+        )
+    return s, S
 
 
 def bound_terms(p: DegreeProfile, mode: Mode) -> tuple[int, int]:
     """The (numerator, denominator) of the per-vertex bound fraction,
-    before multiplying by the order and reducing."""
-    _check_mode_precondition(p, mode)
-    i_d = indicator(p.delta, p.k)
-    i_D = indicator(p.Delta, p.k)
-    if mode is Mode.CLOSED:
-        num = p.delta - p.Delta + 2 * p.k + i_d + i_D
-        den = p.delta + p.Delta + 2 + i_d - i_D
-    else:
-        num = p.delta - p.Delta + 2 * p.k + 2 - i_d - i_D
-        den = p.delta + p.Delta + i_D - i_d
+    before multiplying by the order and reducing. As N[v] = N(v) + {v}, the
+    paper's closed-mode bound is its total-mode bound at the neighbourhood
+    sizes s = delta + 1 and S = Delta + 1, so one formula in s, S serves both."""
+    s, S = _sizes(p, mode)
+    i_s = indicator(s, p.k)
+    i_S = indicator(S, p.k)
+    num = s - S + 2 * p.k + 2 - i_s - i_S
+    den = s + S + i_S - i_s
     assert den > 0, "denominator must be positive under the degree preconditions"
     return num, den
 
@@ -95,24 +98,23 @@ def nearly_regular_bound(n: int, r: int, k: int, mode: Mode) -> BoundValue:
 
 def threshold_check(p: DegreeProfile, c: Fraction, mode: Mode) -> bool:
     """True iff the theorem's inequality num >= c*den holds with both parity
-    indicators at their least favourable value (0 in closed mode, 1 in total
-    mode), which guarantees the bound is at least c*n. c is an exact
-    rational in (-1, 1]."""
+    indicators at their least favourable value, I(s) = I(S) = 1, where it
+    reads s - S + 2k >= c*(s + S); that guarantees the bound is at least c*n.
+    c is an exact rational in (-1, 1]."""
     c = Fraction(c)
     if not (-1 < c <= 1):
         raise ValueError("c must satisfy -1 < c <= 1")
-    _check_mode_precondition(p, mode)
-    den = p.delta + p.Delta + (2 if mode is Mode.CLOSED else 0)
-    return p.delta - p.Delta + 2 * p.k >= c * den
+    s, S = _sizes(p, mode)
+    return s - S + 2 * p.k >= c * (s + S)
 
 
 def nonneg_check(p: DegreeProfile) -> tuple[bool, bool]:
     """(condition, bounds_ok): whether Delta <= delta + 2k, and when it holds,
-    whether both mode bounds are nonnegative (always true by the corollary)."""
+    whether both mode bounds are nonnegative (always true by the corollary).
+    The condition is `threshold_check` at c = 0, the same in either mode."""
     if p.delta < p.k:
         raise ValueError("nonnegativity corollary requires delta >= k")
-    condition = p.Delta <= p.delta + 2 * p.k
-    if not condition:
+    if not threshold_check(p, 0, Mode.TOTAL):
         return False, False
     bounds_ok = (
         lower_bound(p, Mode.CLOSED) >= 0 and lower_bound(p, Mode.TOTAL) >= 0

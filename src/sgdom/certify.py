@@ -35,14 +35,20 @@ def _check_k(k: int) -> None:
         raise ValueError("k must be a positive integer")
 
 
-# The two helpers below are the only place that decides which neighbourhood a
-# mode sums over: N[v] in closed mode, N(v) in total mode.
+def _own(mode: Mode) -> int:
+    """1 if N_mode(v) holds v itself (closed mode, N[v]), 0 if not (total
+    mode, N(v)), so |N_mode(v)| = deg(v) + _own(mode). The one place that
+    tells the modes apart."""
+    if not isinstance(mode, Mode):
+        raise ValueError("mode must be Mode.CLOSED or Mode.TOTAL")
+    return 1 if mode is Mode.CLOSED else 0
+
 
 def _mode_sums(g: Graph, x: np.ndarray, mode: Mode) -> np.ndarray:
     """The sum of x over N_mode(v) for every vertex v. x is indexed by vertex
     along axis 0, so each column of a 2-D x gets its own sums."""
     sums = g.neighbor_sums(x)
-    if mode is Mode.CLOSED:
+    if _own(mode):
         sums += x
     return sums
 
@@ -53,7 +59,7 @@ def _mode_rows(g: Graph, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     arrays; closed mode inserts v into row v after its neighbours below v.
     Branch-and-bound adds floats in row order, so the order is kept."""
     ptr, nbr = g._ptr.view(), g._nbr.view()
-    if mode is Mode.CLOSED:
+    if _own(mode):
         src = np.repeat(np.arange(g.n), g._degrees())
         below = np.bincount(src[nbr < src], minlength=g.n)
         nbr = np.insert(nbr, ptr[:-1] + below, np.arange(g.n))

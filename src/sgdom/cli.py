@@ -105,15 +105,14 @@ def _cmd_solve(args) -> int:
     if args.param == "upper" and mode is not Mode.CLOSED:
         raise ValueError("upper signed k-domination is defined only in closed mode")
     g = parse_graph(_read_bytes(args.graph))
+    name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     if args.param == "upper":
         result = brute_force_upper(g, args.k, max_n=args.max_brute_n)
         name = "gamma_ks"
     elif args.algo == "bnb":
         result = bnb_sigma(g, args.k, mode, node_budget=args.node_budget)
-        name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
     else:
         result = brute_force_sigma(g, args.k, mode, max_n=args.max_brute_n)
-        name = "sigma_ks" if mode is Mode.CLOSED else "sigma_tks"
 
     def text_lines():
         lines = [f"status = {result.status}"]
@@ -329,6 +328,14 @@ def _cmd_xcheck(args) -> int:
         and brute_force_sigma(g, 1, Mode.CLOSED).value == 4
     )
     check("extremal (k=1, delta=2, Delta=3, t=4) is sharp", ok)
+    spec = ExtremalSpec(1, 3, 4, 6, Mode.TOTAL)
+    g, cert = build_extremal(spec)
+    ok = (
+        verify(g, 1, Mode.TOTAL, cert).feasible
+        and cert.weight == lower_bound(DegreeProfile(g.n, 3, 4, 1), Mode.TOTAL)
+        and brute_force_sigma(g, 1, Mode.TOTAL).value == 6
+    )
+    check("extremal (k=1, delta=3, Delta=4, t=6, total) is sharp", ok)
     # What the writers emit reads back: a gadget of each reduction, k = 2.
     rng = random.Random(11)
     source = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)

@@ -8,22 +8,22 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .bounds import DegreeProfile, bound_terms, lower_bound
-from .certify import Mode, SignFunction, _check_k
+from .certify import Mode, SignFunction, _check_k, _own
 from .graph import Graph, _factor_rounds
 
 
 def extremal_params(k: int, delta: int, Delta: int, mode: Mode) -> tuple[int, int]:
     """Block side sizes (a, b) = ((den + num)/4, (den - num)/4) for the
     extremal construction, from the bound's `bound_terms`: a block has den/2
-    vertices and weight num/2. Closed mode requires Delta >= delta >= k+1,
-    total mode Delta >= delta >= k+2."""
+    vertices and weight num/2. It requires Delta >= delta and a least
+    neighbourhood size delta + own of at least k+2: delta >= k+1 in closed
+    mode, delta >= k+2 in total mode."""
     _check_k(k)
     if Delta < delta:
         raise ValueError("need Delta >= delta")
-    if mode is Mode.CLOSED and delta < k + 1:
-        raise ValueError("closed-mode construction requires delta >= k+1")
-    if mode is Mode.TOTAL and delta < k + 2:
-        raise ValueError("total-mode construction requires delta >= k+2")
+    own = _own(mode)
+    if delta + own < k + 2:
+        raise ValueError(f"{mode.value}-mode construction requires delta >= k+{2 - own}")
     num, den = bound_terms(DegreeProfile(0, delta, Delta, k), mode)
     assert (den + num) % 4 == (den - num) % 4 == 0
     a, b = (den + num) // 4, (den - num) // 4

@@ -13,6 +13,7 @@ from sgdom import (
     nonneg_check,
     threshold_check,
 )
+from sgdom.bounds import bound_terms
 from sgdom.solve import OPTIMAL
 
 from conftest import random_connected_graph
@@ -52,6 +53,35 @@ class TestLowerBound:
             lower_bound(DegreeProfile(5, 0, 3, 2), Mode.CLOSED)
         with pytest.raises(ValueError):
             lower_bound(DegreeProfile(5, 1, 3, 2), Mode.TOTAL)
+
+    def test_matches_the_papers_two_formulas(self):
+        """bound_terms is the paper's closed-mode bound and its total-mode
+        bound, each as the paper states it in delta and Delta, with the same
+        refusal where the theorem's precondition fails."""
+
+        def closed(d, D, k):
+            i_d, i_D = indicator(d, k), indicator(D, k)
+            return d - D + 2 * k + i_d + i_D, d + D + 2 + i_d - i_D
+
+        def total(d, D, k):
+            i_d, i_D = indicator(d, k), indicator(D, k)
+            return d - D + 2 * k + 2 - i_d - i_D, d + D + i_D - i_d
+
+        papers = (
+            (Mode.CLOSED, closed, lambda d, k: d >= k - 1, "closed mode requires delta >= k-1"),
+            (Mode.TOTAL, total, lambda d, k: d >= k, "total mode requires delta >= k"),
+        )
+        for mode, formula, holds, refusal in papers:
+            for k in range(1, 7):
+                for Delta in range(17):
+                    for delta in range(Delta + 1):
+                        p = DegreeProfile(0, delta, Delta, k)
+                        if holds(delta, k):
+                            assert bound_terms(p, mode) == formula(delta, Delta, k)
+                            continue
+                        with pytest.raises(ValueError) as err:
+                            bound_terms(p, mode)
+                        assert str(err.value) == f"{refusal} (delta={delta}, k={k})"
 
 
 class TestEffectiveBound:

@@ -679,3 +679,19 @@ def test_xcheck_reports_a_failure(monkeypatch, capsys):
     assert [line for line in out if not line.startswith("PASS ")] == [
         "FAIL bnb == brute force on random graphs"
     ]
+
+
+def test_xcheck_checks_the_total_mode_bound(monkeypatch, capsys):
+    """xcheck is all CI runs without the test extra, so it checks a total-mode
+    extremal member too: a total-mode bound off by 2 fails that one line."""
+    right = cli.lower_bound
+
+    def wrong(p, mode):
+        return right(p, mode) + (2 if mode is Mode.TOTAL else 0)
+
+    monkeypatch.setattr(cli, "lower_bound", wrong)
+    assert main(["xcheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("PASS ")] == [
+        "FAIL extremal (k=1, delta=3, Delta=4, t=6, total) is sharp"
+    ]

@@ -45,12 +45,14 @@ class TestParams:
             assert 1 <= b <= Delta
 
     def test_degree_preconditions(self):
-        with pytest.raises(ValueError):
-            extremal_params(1, 1, 3, Mode.CLOSED)
-        with pytest.raises(ValueError):
-            extremal_params(1, 2, 3, Mode.TOTAL)
-        with pytest.raises(ValueError):
-            extremal_params(1, 4, 3, Mode.CLOSED)
+        for delta, Delta, mode, message in (
+            (1, 3, Mode.CLOSED, "closed-mode construction requires delta >= k+1"),
+            (2, 3, Mode.TOTAL, "total-mode construction requires delta >= k+2"),
+            (4, 3, Mode.CLOSED, "need Delta >= delta"),
+        ):
+            with pytest.raises(ValueError) as err:
+                extremal_params(1, delta, Delta, mode)
+            assert str(err.value) == message
 
 
 class TestSpec:

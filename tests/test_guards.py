@@ -5,6 +5,7 @@ import pytest
 
 from sgdom import (
     DegreeProfile,
+    ExtremalSpec,
     Graph,
     Mode,
     SignFunction,
@@ -17,17 +18,20 @@ from sgdom import (
     forced_plus_vertices,
     gamma,
     indicator,
+    lower_bound,
     nearly_regular_bound,
     nonneg_check,
     path,
     reduce_1in3,
     reduce_mds,
     reduce_mtds,
+    threshold_check,
     verify,
 )
 
 _POSITIVE_K = "k must be a positive integer"
 _FORMULA = ThreeSatFormula(3, ((1, 2, 3),))
+_MODE = "mode must be Mode.CLOSED or Mode.TOTAL"
 
 
 @pytest.mark.parametrize(
@@ -65,6 +69,31 @@ _FORMULA = ThreeSatFormula(3, ((1, 2, 3),))
             id="verify",
         ),
         pytest.param(lambda: DegreeProfile(3, 1, 2, 0), _POSITIVE_K, id="DegreeProfile k"),
+        # A mode given as its string, or any other non-Mode, is refused
+        # rather than read as total mode.
+        pytest.param(
+            lambda: verify(path(3), 2, "closed", SignFunction((1, 1, 1))), _MODE,
+            id="verify mode",
+        ),
+        pytest.param(
+            lambda: forced_plus_vertices(path(3), 1, "closed"), _MODE,
+            id="forced_plus_vertices mode",
+        ),
+        pytest.param(
+            lambda: brute_force_sigma(path(3), 1, "closed"), _MODE, id="brute_force_sigma mode"
+        ),
+        pytest.param(lambda: bnb_sigma(path(3), 1, "closed"), _MODE, id="bnb_sigma mode"),
+        pytest.param(
+            lambda: lower_bound(DegreeProfile(4, 2, 3, 1), "closed"), _MODE,
+            id="lower_bound mode",
+        ),
+        pytest.param(
+            lambda: threshold_check(DegreeProfile(4, 2, 3, 1), 0, "closed"), _MODE,
+            id="threshold_check mode",
+        ),
+        pytest.param(
+            lambda: ExtremalSpec(1, 2, 3, 4, "closed"), _MODE, id="ExtremalSpec mode"
+        ),
         pytest.param(lambda: Graph(-1), "vertex count must be nonnegative", id="Graph order"),
         pytest.param(
             lambda: Graph(3, [(0, 1), 5]), "edge 5 is not a pair of vertices", id="Graph edge"
