@@ -6,6 +6,7 @@ signed k-domination number, and baseline solvers for domination numbers and
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,6 +47,12 @@ _MAX_BRUTE_ORDER = _LOW_BITS + 22
 _ROOT_STEPS = 100
 _NODE_STEPS = 15
 _FLOAT_TOL = 1e-6
+
+# Largest live block (|R| x |F| cells, see `_live_block`) whose B.x the
+# ascent takes as a dense matrix product rather than a bincount over its
+# pairs. On a cycle, the sparsest block, the two cost the same between C_80
+# and C_96; on denser graphs the dense product wins by more.
+_DENSE_CELLS = 8192
 
 
 class CapExceededError(RuntimeError):
@@ -230,10 +237,69 @@ def _parity_ceil(bound: float, n: int) -> int:
     return parity_ceil(bound - _FLOAT_TOL, n)
 
 
+@dataclass(frozen=True)
+class _LiveBlock:
+    """The constraints the root leaves live, as `_dual_ascent` reads them.
+
+    Columns F are the vertices the root's unit pass leaves undecided, the
+    only ones any node can have free; rows R are the constraints whose
+    N_mode(v) meets F. B is the 0/1 matrix of u in N_mode(v) over R x F,
+    `cover(y)` is y.B and `sums(x)` is B.x. `cols` lists F, `rhs` is each
+    row's threshold less its root-fixed members, `fixed_sq` is the sum of
+    rhs^2 over the rows outside R and `order` is n.
+    """
+
+    cols: np.ndarray
+    rhs: np.ndarray
+    fixed_sq: float
+    order: int
+    cover: Callable[[np.ndarray], np.ndarray]
+    sums: Callable[[np.ndarray], np.ndarray]
+
+
+def _live_block(
+    src: np.ndarray, dst: np.ndarray, thr: np.ndarray, root: np.ndarray
+) -> _LiveBlock:
+    """The live block of the constraints sum_{u in N_mode(v)} x_u >= thr_v
+    under the root assignment `root` (0 = undecided). (src, dst) lists each
+    pair with dst in N_mode(src), sorted; the relation is symmetric.
+
+    `cover` is a bincount over the block's pairs, which stay in (row,
+    column) order: it adds the same floats in the same order as a bincount
+    over all of V, where a BLAS product would reorder them and move the
+    search. `sums` adds integers, exact in any order, so it is a product
+    with the dense B when |R| x |F| is at most `_DENSE_CELLS` and a bincount
+    otherwise.
+    """
+    n = len(thr)
+    free = root == 0
+    live = free[dst]
+    in_rows = np.bincount(src[live], minlength=n) > 0
+    rhs = thr - np.bincount(src, weights=root[dst], minlength=n)
+    fixed = rhs[~in_rows]
+    nr, nc = int(in_rows.sum()), int(free.sum())
+    r = (np.cumsum(in_rows) - 1)[src[live]]
+    c = (np.cumsum(free) - 1)[dst[live]]
+
+    def cover(y):
+        return np.bincount(c, y[r], nc)
+
+    if nr * nc <= _DENSE_CELLS:
+        b = np.zeros((nr, nc))
+        b[r, c] = 1.0
+        sums = b.dot
+    else:
+        def sums(x):
+            return np.bincount(r, x[c], nr)
+
+    return _LiveBlock(
+        np.flatnonzero(free), rhs[in_rows], float(fixed.dot(fixed)), n, cover, sums
+    )
+
+
 def _dual_ascent(
     y: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
+    block: _LiveBlock,
     rhs: np.ndarray,
     free: np.ndarray,
     w: int,
@@ -245,29 +311,39 @@ def _dual_ascent(
     For multipliers y >= 0 on the constraints sum_{u in nbhd[v]} x_u >= rhs_v
     over the free vertices, L(y) = w + y.rhs - sum_{u free} |1 - c_u| with
     c_u = sum_{v in nbhd[u]} y_v is a lower bound on every completion's
-    weight. (src, dst) lists each pair with dst in nbhd[src]; the relation is
-    symmetric, so one bincount over it gives c and another the constraint
-    sums of the minimising x. Polyak steps aim just above the pruning level
-    best - 2; the ascent stops once L clears it. Returns the best L seen and
-    its y.
+    weight. Polyak steps aim just above the pruning level best - 2; the
+    ascent stops once L clears it. Returns the best L seen and its y.
+
+    y and rhs run over the rows R of the live block and free over its
+    columns F (see `_live_block`). A row outside R has all its members fixed
+    at the root, so its rhs is a constant <= 0: its y starts at 0 and every
+    step is positive, so it stays 0 and adds nothing to L or c. Its
+    subgradient entry is that rhs, so it adds the constant `fixed_sq` to the
+    squared norm, which keeps each step the one an ascent over all of V
+    takes. B.x is a dense product on a block of at most `_DENSE_CELLS`
+    cells and a bincount on a larger one; c = y.B is a bincount that adds
+    in the same order as one over all of V.
     """
-    n = len(rhs)
+    n, cover, sums, fixed_sq = block.order, block.cover, block.sums, block.fixed_sq
     target = best - 1
     top, top_y = -math.inf, y
     for _ in range(steps):
-        excess = np.bincount(src, weights=y[dst], minlength=n) - 1.0
-        bound = w + float(y @ rhs) - float(np.abs(excess) @ free)
+        excess = cover(y) - 1.0
+        # The minimising x is +1 on free vertices with c_u > 1, else -1, so
+        # excess.x is sum_{u free} |1 - c_u|.
+        x = np.copysign(free, excess)
+        bound = w + y.dot(rhs) - excess.dot(x)
         if bound > top:
             top, top_y = bound, y
             if _parity_ceil(bound, n) >= best:
                 break
-        # The minimising x is +1 on free vertices with c_u > 1, else -1.
-        x = np.copysign(free, excess)
-        grad = rhs - np.bincount(src, weights=x[dst], minlength=n)
-        norm = float(grad @ grad)
+        grad = rhs - sums(x)
+        norm = grad.dot(grad) + fixed_sq
         if norm == 0:
             break
-        y = np.maximum(y + ((target - bound) / norm) * grad, 0)
+        step = ((target - bound) / norm) * grad
+        step += y
+        y = np.maximum(step, 0.0, out=step)
     return top, top_y
 
 
@@ -288,7 +364,10 @@ def bnb_sigma(
     `forced_plus_vertices`) and then on N_mode(u) after each -1 at u.
     Nodes are pruned against the incumbent by Lagrangian bounds rounded up to
     the parity of n (see `_dual_ascent`), whose multipliers are tuned at the
-    first node that needs them and warm-started down the search. The search
+    first node that needs them and warm-started down the search. The ascent
+    runs on the live block (see `_live_block`), built once after the root's
+    unit pass: only the constraints that meet a vertex the root leaves
+    undecided, the rest adding one constant to each step's norm. The search
     is one loop over a stack of child records, so its depth is not limited
     by Python's recursion limit; a child whose unit rule conflicts is not
     counted as a node. Its answer is brute_force_sigma's on the graph with
@@ -304,10 +383,12 @@ def bnb_sigma(
     thr = [k + 1 - indicator(len(a), k) for a in nbhd]
     slack = [len(a) - t for a, t in zip(nbhd, thr)]
     assign = [0] * n
+    # assign as a float array, which the bound indexes by the live columns.
+    signs = np.zeros(n)
     trail: list[int] = []
 
     def place(u: int, val: int) -> None:
-        assign[u] = val
+        assign[u] = signs[u] = val
         trail.append(u)
         if val < 0:
             for v in nbhd[u]:
@@ -332,6 +413,7 @@ def bnb_sigma(
     nodes = 0
     best_w: int | None = None
     best_f: SignFunction | None = None
+    block: _LiveBlock | None = None
     root_y: np.ndarray | None = None
     # A record is a node still to visit: (branch vertex, its value, the
     # parent's trail mark, the order position where the search for an
@@ -346,7 +428,7 @@ def bnb_sigma(
             if assign[v] < 0:
                 for t in nbhd[v]:
                     slack[t] += 2
-            assign[v] = 0
+            assign[v] = signs[v] = 0
         if u is None:
             touched = range(n)
         else:
@@ -363,17 +445,20 @@ def bnb_sigma(
         if free_total == 0:
             best_w, best_f = w, SignFunction(tuple(assign))
             continue
+        if block is None:
+            # The root, after its unit pass: later nodes only fix more.
+            block = _live_block(src, dst, thr_arr, signs)
         if best_w is not None:
-            x = np.array(assign)
-            rhs = thr_arr - np.bincount(src, weights=x[dst], minlength=n)
+            x = signs[block.cols]
+            rhs = block.rhs - block.sums(x)
             free = (x == 0).astype(float)
             if y is None:
                 if root_y is None:
                     _, root_y = _dual_ascent(
-                        np.zeros(n), src, dst, rhs, free, w, best_w, _ROOT_STEPS
+                        np.zeros(len(rhs)), block, rhs, free, w, best_w, _ROOT_STEPS
                     )
                 y = root_y
-            bound, y = _dual_ascent(y, src, dst, rhs, free, w, best_w, _NODE_STEPS)
+            bound, y = _dual_ascent(y, block, rhs, free, w, best_w, _NODE_STEPS)
             if _parity_ceil(bound, n) >= best_w:
                 continue
         while assign[order[pos]] != 0:

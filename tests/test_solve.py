@@ -22,6 +22,8 @@ from sgdom import (
     gamma_t,
     one_in_three_sat,
     path,
+    reduce_mds,
+    reduce_mtds,
     verify,
 )
 from sgdom import solve
@@ -38,6 +40,7 @@ from conftest import (
     first_optimum,
     mode_rows,
     nbhd,
+    random_connected_graph,
     random_graph,
 )
 
@@ -460,15 +463,31 @@ def lagrangian_instance(g, k, mode):
     """Pairs (v, u) with u in the mode neighbourhood of v, and the
     parity-strengthened thresholds, built apart from bnb_sigma."""
     rows = [nbhd(g, v, mode) for v in range(g.n)]
-    pairs = np.array([(v, u) for v in range(g.n) for u in rows[v]], dtype=np.intp)
+    pairs = np.array([(v, u) for v in range(g.n) for u in rows[v]], dtype=np.intp).reshape(-1, 2)
     thr = np.array([k + (len(a) - k) % 2 for a in rows], dtype=float)
     return pairs[:, 0], pairs[:, 1], thr
 
 
+def all_free_block(src, dst, thr):
+    """The live block that bnb_sigma builds, at a root that fixes nothing:
+    R = F = V, and no fixed row adds to the norm."""
+    block = solve._live_block(src, dst, thr, np.zeros(len(thr), dtype=int))
+    assert block.cols.tolist() == list(range(len(thr))) and block.fixed_sq == 0
+    assert np.array_equal(block.rhs, thr)
+    return block
+
+
+# The two forms of the live block: B.x as a dense product, or as a bincount
+# over the block's pairs.
+BLOCK_FORMS = pytest.mark.parametrize("cells", [10**9, 0], ids=["dense", "pairs"])
+
+
 class TestLagrangianBound:
-    def test_theorem_is_a_point_of_the_dual(self, rng):
+    @BLOCK_FORMS
+    def test_theorem_is_a_point_of_the_dual(self, rng, monkeypatch, cells):
         """L at the uniform multipliers y = 2/den, which one ascent step
         evaluates, is never below the paper's bound n*num/den."""
+        monkeypatch.setattr(solve, "_DENSE_CELLS", cells)
         checked = 0
         for _ in range(120):
             g = random_graph(rng, rng.randint(3, 16), rng.choice([0.3, 0.5, 0.8]))
@@ -479,19 +498,21 @@ class TestLagrangianBound:
                         _, den = bound_terms(profile, mode)
                     except ValueError:
                         continue
-                    src, dst, thr = lagrangian_instance(g, k, mode)
+                    block = all_free_block(*lagrangian_instance(g, k, mode))
                     bound, _ = solve._dual_ascent(
-                        np.full(g.n, 2 / den), src, dst, thr, np.ones(g.n), 0, g.n + 2, 1
+                        np.full(g.n, 2 / den), block, block.rhs, np.ones(g.n), 0, g.n + 2, 1
                     )
                     assert bound >= float(lower_bound(profile, mode)) - 1e-9
                     checked += 1
         assert checked >= 400
 
-    def test_root_bound_is_below_lp_and_optimum(self, rng):
+    @BLOCK_FORMS
+    def test_root_bound_is_below_lp_and_optimum(self, rng, monkeypatch, cells):
         """Weak duality against scipy's LP, and the parity-rounded bound
         against the brute-force optimum, with an incumbent two above it so
         the ascent runs every root step."""
         linprog = pytest.importorskip("scipy.optimize").linprog
+        monkeypatch.setattr(solve, "_DENSE_CELLS", cells)
         checked = 0
         for _ in range(30):
             g = random_graph(rng, rng.randint(6, 14), rng.choice([0.3, 0.5]))
@@ -505,8 +526,9 @@ class TestLagrangianBound:
                     a[src, dst] = 1
                     lp = linprog(np.ones(g.n), A_ub=-a, b_ub=-thr, bounds=(-1, 1))
                     assert lp.status == 0
+                    block = all_free_block(src, dst, thr)
                     bound, y = solve._dual_ascent(
-                        np.zeros(g.n), src, dst, thr, np.ones(g.n), 0,
+                        np.zeros(g.n), block, block.rhs, np.ones(g.n), 0,
                         opt.value + 2, solve._ROOT_STEPS,
                     )
                     assert (y >= 0).all()
@@ -522,6 +544,96 @@ class TestLagrangianBound:
         # Float error just above an integer does not lift the bound.
         assert solve._parity_ceil(4.0 + 1e-9, 10) == 4
         assert solve._parity_ceil(-2.5, 7) == -1
+
+
+def recorded_blocks(monkeypatch):
+    """The live blocks that bnb_sigma builds from now on, in order."""
+    blocks = []
+    build = solve._live_block
+
+    def record(*args):
+        blocks.append(build(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(solve, "_live_block", record)
+    return blocks
+
+
+class TestLiveBlock:
+    @BLOCK_FORMS
+    def test_block_is_the_live_part_of_the_matrix(self, rng, monkeypatch, cells):
+        """Under any root assignment, R is the rows that meet a free vertex,
+        rhs and fixed_sq come from the root-fixed members, and cover and
+        sums are y.B and B.x for the 0/1 matrix of R x F."""
+        monkeypatch.setattr(solve, "_DENSE_CELLS", cells)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4]))
+            for k in (1, 2):
+                for mode in (Mode.CLOSED, Mode.TOTAL):
+                    src, dst, thr = lagrangian_instance(g, k, mode)
+                    root = np.array([rng.choice([-1, 0, 0, 1]) for _ in range(g.n)])
+                    block = solve._live_block(src, dst, thr, root)
+                    free = [u for u in range(g.n) if root[u] == 0]
+                    if not free:
+                        continue
+                    rows = [v for v in range(g.n) if set(nbhd(g, v, mode)) & set(free)]
+                    rhs = [thr[v] - sum(root[u] for u in nbhd(g, v, mode)) for v in range(g.n)]
+                    b = np.array(mode_rows(g, mode), dtype=float)[np.ix_(rows, free)]
+                    y = np.array([rng.random() for _ in rows])
+                    x = np.array([rng.choice([-1.0, 0.0, 1.0]) for _ in free])
+                    assert block.cols.tolist() == free and block.order == g.n
+                    assert block.rhs.tolist() == [rhs[v] for v in rows]
+                    assert block.fixed_sq == sum(rhs[v] ** 2 for v in range(g.n) if v not in rows)
+                    assert np.allclose(block.cover(y), y @ b, rtol=0, atol=1e-12)
+                    assert block.sums(x).tolist() == (b @ x).tolist()
+
+    def test_both_forms_search_alike(self, rng, monkeypatch):
+        """The dense and the pair-list block give the same search, node for
+        node: seeded graphs with full and tiny budgets, and MDS/MTDS gadgets,
+        whose root unit pass fixes most vertices."""
+        cases = []
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(1, 40), rng.choice([0.08, 0.12, 0.2, 0.3]))
+            k, mode = rng.randint(1, 3), rng.choice(list(Mode))
+            cases += [(g, k, mode, 3000), (g, k, mode, rng.choice([1, 3, 10]))]
+        gadgets = []
+        for n0 in (5, 6, 7):
+            g0 = random_connected_graph(rng, n0, 0.3)
+            for k in (1, 2):
+                gadgets += [(reduce_mds(g0, k).graph, k, Mode.CLOSED, 3000)]
+                gadgets += [(reduce_mtds(g0, k).graph, k, Mode.TOTAL, 3000)]
+        searches = {}
+        for cells in (0, 10**9):
+            monkeypatch.setattr(solve, "_DENSE_CELLS", cells)
+            searches[cells] = [bnb_sigma(*case) for case in cases + gadgets]
+        assert searches[0] == searches[10**9]
+        assert Counter(r.status for r in searches[0])[CAP_EXCEEDED] > 20
+        blocks = recorded_blocks(monkeypatch)
+        for case in gadgets:
+            bnb_sigma(*case)
+        assert len(blocks) == len(gadgets)
+        assert all(2 * len(block.cols) < block.order for block in blocks)
+
+    @BLOCK_FORMS
+    @pytest.mark.parametrize(
+        "n,p,seed,k,mode,value,signs,nodes",
+        [
+            (24, 0.15, 3, 1, Mode.TOTAL, 6, "++-+--+--+-+-+++++-++-++", 19),
+            (34, 0.1, 4, 1, Mode.CLOSED, 14, "---++++--+++++++++++-+++++++---++-", 33),
+            (26, 0.4, 6, 2, Mode.CLOSED, 6, "---++++-++-+++-+--+-+++++-", 75),
+            (28, 0.3, 1, 3, Mode.TOTAL, 12, "++--+++++++-+-++-+-+-+-+++++", 25),
+        ],
+    )
+    def test_pinned_searches(self, monkeypatch, cells, n, p, seed, k, mode, value, signs, nodes):
+        # The node counts of an ascent over all of V. The first two searches
+        # take 21 and 31 nodes if the rows that the root fixes whole do not
+        # add their sum rhs^2 to each step's norm, and the last two 77 and 21
+        # if y.B is an OpenBLAS product, which adds in its own order.
+        monkeypatch.setattr(solve, "_DENSE_CELLS", cells)
+        result = bnb_sigma(random_graph(random.Random(seed), n, p), k, mode)
+        assert result.status == OPTIMAL and result.value == value
+        assert result.certificate.values == tuple(1 if c == "+" else -1 for c in signs)
+        assert result.nodes_explored == nodes
 
 
 class TestCompleteGraphClosedForms:
