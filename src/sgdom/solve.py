@@ -6,7 +6,6 @@ signed k-domination number, and baseline solvers for domination numbers and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -47,12 +46,6 @@ _MAX_BRUTE_ORDER = _LOW_BITS + 22
 _ROOT_STEPS = 100
 _NODE_STEPS = 15
 _FLOAT_TOL = 1e-6
-
-# Largest live block (|R| x |F| cells, see `_live_block`) whose B.x the
-# ascent takes as a dense matrix product rather than a bincount over its
-# pairs. On a cycle, the sparsest block, the two cost the same between C_80
-# and C_96; on denser graphs the dense product wins by more.
-_DENSE_CELLS = 8192
 
 
 class CapExceededError(RuntimeError):
@@ -244,17 +237,28 @@ class _LiveBlock:
     Columns F are the vertices the root's unit pass leaves undecided, the
     only ones any node can have free; rows R are the constraints whose
     N_mode(v) meets F. B is the 0/1 matrix of u in N_mode(v) over R x F,
-    `cover(y)` is y.B and `sums(x)` is B.x. `cols` lists F, `rhs` is each
-    row's threshold less its root-fixed members, `fixed_sq` is the sum of
-    rhs^2 over the rows outside R and `order` is n.
+    held as its pairs (`r`, `c`) of row and column indices in (row, column)
+    order. `cols` lists F, `rhs` is each row's threshold less its root-fixed
+    members, `fixed_sq` is the sum of rhs^2 over the rows outside R and
+    `order` is n.
     """
 
     cols: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
     rhs: np.ndarray
     fixed_sq: float
     order: int
-    cover: Callable[[np.ndarray], np.ndarray]
-    sums: Callable[[np.ndarray], np.ndarray]
+
+    def cover(self, y: np.ndarray) -> np.ndarray:
+        """y.B, added in pair order: the same floats in the same order as a
+        bincount over all of V, where a BLAS product would reorder them and
+        move the search."""
+        return np.bincount(self.c, y[self.r], len(self.cols))
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """B.x; x is -1, 0 or +1, so the sums are exact."""
+        return np.bincount(self.r, x[self.c], len(self.rhs))
 
 
 def _live_block(
@@ -262,38 +266,17 @@ def _live_block(
 ) -> _LiveBlock:
     """The live block of the constraints sum_{u in N_mode(v)} x_u >= thr_v
     under the root assignment `root` (0 = undecided). (src, dst) lists each
-    pair with dst in N_mode(src), sorted; the relation is symmetric.
-
-    `cover` is a bincount over the block's pairs, which stay in (row,
-    column) order: it adds the same floats in the same order as a bincount
-    over all of V, where a BLAS product would reorder them and move the
-    search. `sums` adds integers, exact in any order, so it is a product
-    with the dense B when |R| x |F| is at most `_DENSE_CELLS` and a bincount
-    otherwise.
-    """
+    pair with dst in N_mode(src), sorted; the relation is symmetric."""
     n = len(thr)
     free = root == 0
     live = free[dst]
     in_rows = np.bincount(src[live], minlength=n) > 0
     rhs = thr - np.bincount(src, weights=root[dst], minlength=n)
     fixed = rhs[~in_rows]
-    nr, nc = int(in_rows.sum()), int(free.sum())
     r = (np.cumsum(in_rows) - 1)[src[live]]
     c = (np.cumsum(free) - 1)[dst[live]]
-
-    def cover(y):
-        return np.bincount(c, y[r], nc)
-
-    if nr * nc <= _DENSE_CELLS:
-        b = np.zeros((nr, nc))
-        b[r, c] = 1.0
-        sums = b.dot
-    else:
-        def sums(x):
-            return np.bincount(r, x[c], nr)
-
     return _LiveBlock(
-        np.flatnonzero(free), rhs[in_rows], float(fixed.dot(fixed)), n, cover, sums
+        np.flatnonzero(free), r, c, rhs[in_rows], float(fixed.dot(fixed)), n
     )
 
 
@@ -319,10 +302,13 @@ def _dual_ascent(
     at the root, so its rhs is a constant <= 0: its y starts at 0 and every
     step is positive, so it stays 0 and adds nothing to L or c. Its
     subgradient entry is that rhs, so it adds the constant `fixed_sq` to the
-    squared norm, which keeps each step the one an ascent over all of V
-    takes. B.x is a dense product on a block of at most `_DENSE_CELLS`
-    cells and a bincount on a larger one; c = y.B is a bincount that adds
-    in the same order as one over all of V.
+    squared norm. c and the norm add the same numbers in the same order as
+    an ascent over all of V, but L's two dot products, y.rhs and excess.x,
+    add over R and F where that ascent adds over V with zeros between, so
+    BLAS may round L, and with it a step, differently in the last bits. The
+    two ascents take the same search on every instance measured, not by
+    construction; `test_pinned_searches` and `test_pinned_certificates`
+    guard it.
     """
     n, cover, sums, fixed_sq = block.order, block.cover, block.sums, block.fixed_sq
     target = best - 1
