@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ def _mode_rows(g: Graph, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     return ptr, nbr
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class SignFunction:
     """A total assignment V -> {-1, +1}."""
@@ -79,9 +85,15 @@ class SignFunction:
             bad = next(x for x in self.values if x not in (-1, 1))
             raise ValueError(f"sign values must be -1 or +1, got {bad}")
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The values as a read-only int64 array. Not a field: equality,
+        hashing and repr read `values` alone."""
+        return _read_only(np.array(self.values, dtype=np.int64))
+
     @property
     def weight(self) -> int:
-        return sum(self.values)
+        return int(self.array.sum())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -90,12 +102,26 @@ class SignFunction:
         return self.values[v]
 
 
+def _sign_function(array: np.ndarray) -> SignFunction:
+    """The SignFunction of an int64 array whose values the caller has
+    checked to be -1 or +1; the array, made read-only, becomes its `array`."""
+    f = object.__new__(SignFunction)
+    object.__setattr__(f, "values", tuple(array.tolist()))
+    f.__dict__["array"] = _read_only(array)
+    return f
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     feasible: bool
     per_vertex_sum: tuple[int, ...]
     violations: frozenset[int]
     min_slack: int | None  # None only on the empty graph
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        """per_vertex_sum as a read-only int64 array; `verify` gives its own."""
+        return _read_only(np.array(self.per_vertex_sum, dtype=np.int64))
 
 
 def verify(g: Graph, k: int, mode: Mode, f: SignFunction) -> VerifyReport:
@@ -108,10 +134,12 @@ def verify(g: Graph, k: int, mode: Mode, f: SignFunction) -> VerifyReport:
     _check_k(k)
     if len(f) != g.n:
         raise ValueError(f"certificate length {len(f)} != graph order {g.n}")
-    sums = _mode_sums(g, np.array(f.values, dtype=np.int64), mode)
+    sums = _mode_sums(g, f.array, mode)
     violations = frozenset(np.flatnonzero(sums < k).tolist())
     min_slack = int(sums.min()) - k if g.n else None
-    return VerifyReport(not violations, tuple(sums.tolist()), violations, min_slack)
+    report = VerifyReport(not violations, tuple(sums.tolist()), violations, min_slack)
+    report.__dict__["_sums"] = _read_only(sums)
+    return report
 
 
 @dataclass(frozen=True)
@@ -128,12 +156,17 @@ def is_minimal_skdf(g: Graph, k: int, f: SignFunction) -> MinimalityReport:
     f, so a pointwise-dominated feasible function exists exactly when a single
     +1 can be flipped; flipping v lowers each closed sum over N[v] by 2.
     """
-    report = verify(g, k, Mode.CLOSED, f)
+    return _minimality(g, k, f, verify(g, k, Mode.CLOSED, f))
+
+
+def _minimality(g: Graph, k: int, f: SignFunction, report: VerifyReport) -> MinimalityReport:
+    """`is_minimal_skdf` given f's closed-mode report, which a caller that
+    has verified f already holds."""
     if not report.feasible:
         raise ValueError("minimality is only defined for feasible SkDFs")
-    sums = np.array(report.per_vertex_sum, dtype=np.int64)
+    sums = report._sums
     tight = ((sums == k) | (sums == k + 1)).astype(np.int64)
-    plus = np.array(f.values, dtype=np.int64) == 1
+    plus = f.array == 1
     offending = np.flatnonzero(plus & (_mode_sums(g, tight, Mode.CLOSED) == 0))
     if offending.size:
         return MinimalityReport(False, int(offending[0]))
@@ -187,7 +220,7 @@ def parse_certificate(text: str | bytes) -> tuple[int, Mode, SignFunction]:
         raise GraphFormatError(f"expected {n} vertex values, found {index.size}")
     values = np.empty(n, dtype=np.int64)
     values[index] = rows[:, 1]
-    return k, mode, SignFunction(tuple(values.tolist()))
+    return k, mode, _sign_function(values)
 
 
 # The sign field `emit_certificate` writes, indexed by value > 0.
@@ -195,6 +228,6 @@ _SIGN_WORDS = _words(" -1\n", " +1\n")
 
 
 def emit_certificate(f: SignFunction, k: int, mode: Mode) -> str:
-    plus = np.array(f.values, dtype=np.int64) > 0
+    plus = f.array > 0
     head = f"s sgd-cert {len(f)} {k} {mode.value}\n"
     return _emit_rows(head, _number(np.arange(len(f)), 1, "v "), (_SIGN_WORDS, plus))

@@ -17,8 +17,8 @@ from pathlib import Path
 from .bounds import DegreeProfile, bound_terms, effective_bound, lower_bound
 from .certify import (
     Mode,
+    _minimality,
     emit_certificate,
-    is_minimal_skdf,
     parse_certificate,
     verify,
 )
@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
     if args.minimal and mode is not Mode.CLOSED:
         raise ValueError("minimality is only defined in closed mode")
     report = verify(g, k, mode, f)
-    mreport = is_minimal_skdf(g, k, f) if args.minimal and report.feasible else None
+    mreport = _minimality(g, k, f, report) if args.minimal and report.feasible else None
     minimal = None if mreport is None else mreport.minimal
     status = "feasible" if report.feasible else "infeasible"
     if minimal is False:

@@ -40,12 +40,14 @@ class Graph:
             edges = list(edges)
         pairs, cut = _edge_array(edges)
         # The entries of the doubled edge list are sorted once as keys
-        # (u, v) -> u << width | v. A key equal to its neighbour is a repeat
-        # (a self-loop repeats itself), and without one the keys are the rows.
+        # (u, v) -> u << width | v, in uint32 when two vertices fit. A key
+        # equal to its neighbour is a repeat (a self-loop repeats itself), and
+        # without one the keys' low bits are the rows, which start at the
+        # running sum of the degrees.
         width = operator.index(max(n - 1, 0)).bit_length()
         key = None
         if pairs.size == 0 or pairs.view(np.uint64).max() < n:  # a negative wraps
-            key = _entry_keys(width, pairs)
+            key = _entry_keys(width, pairs, np.uint32 if 2 * width <= 32 else np.int64)
             key.sort()
             if (key[1:] == key[:-1]).any():
                 key = None
@@ -62,8 +64,10 @@ class Graph:
             raise ValueError(f"edge {edges[cut]!r} is not a pair of vertices")
         self.n = n
         self.m = len(pairs)
-        self._ptr = key.searchsorted(np.arange(n + 1) << width)
-        self._nbr = np.bitwise_and(key, (1 << width) - 1, out=key)
+        self._ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=self._ptr[1:])
+        key &= (1 << width) - 1
+        self._nbr = key.astype(np.int64, copy=False)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v), sorted."""
@@ -200,13 +204,14 @@ def _repeats(key: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _entry_keys(width: int, pairs: np.ndarray) -> np.ndarray:
+def _entry_keys(width: int, pairs: np.ndarray, dtype=np.int64) -> np.ndarray:
     """The key u << width | v of each entry (u, v) of the doubled edge list,
-    in which edge i = (u, v) is entry 2i = (u, v) and entry 2i+1 = (v, u).
-    Every vertex must lie in 0..2^width - 1; the keys then sort as the
-    entries do, lexicographically."""
-    key = pairs << width
-    key |= pairs[:, ::-1]
+    in which edge i = (u, v) is entry 2i = (u, v) and entry 2i+1 = (v, u),
+    as dtype. Every vertex must lie in 0..2^width - 1, and dtype must hold
+    2 * width bits; the keys then sort as the entries do, lexicographically."""
+    part = pairs.astype(dtype, copy=False)
+    key = part << width
+    key |= part[:, ::-1]
     return key.ravel()
 
 
@@ -325,28 +330,32 @@ def _canonical_rows(text, tag, magic, header, line_tag, width):
     chars = np.frombuffer(text, dtype=np.uint8, offset=end)
     if (runs := _canonical_runs(chars, line_tag, width)) is None:
         return None
-    # Horner's rule over the runs aligned at their last digit: place p of a
-    # run shorter than p + 1 digits reads as a leading zero.
-    start, stop = runs
+    # Horner's rule over the runs aligned at their last digit, in int32,
+    # which holds _MAX_DIGITS digits: place p of a run shorter than p + 1
+    # digits reads as a leading zero.
+    digits, start, stop, before = runs
     size = stop - start
-    values = np.zeros(start.size, dtype=np.int64)
+    values = np.zeros(start.size, dtype=np.int32)
     for place in range(int(size.max(initial=0)) - 1, -1, -1):
         values *= 10
-        values += (chars.take(stop - 1 - place, mode="clip") - ord("0")) * (size > place)
-    np.negative(values, out=values, where=chars[start - 1] == ord("-"))
-    rows = values.reshape(-1, width)
+        values += digits.take(stop - 1 - place, mode="clip") * (size > place)
+    np.negative(values, out=values, where=before == ord("-"))
+    rows = values.astype(np.int64).reshape(-1, width)
     return first, rows, range(2, len(rows) + 2), None
 
 
 def _canonical_runs(chars, line_tag, width):
-    """(start, stop) of each run of ASCII digits in chars, a body from the
-    header's newline to the last one, if it is canonical, else None: each
-    line is `line_tag` (if not None) and `width` numbers, single spaces
-    apart, each an optional sign and 1.._MAX_DIGITS digits. With each run
-    written as one `#`, the sign before it dropped and its other digits
-    deleted, every line must read `<line_tag> # #...`; a `#` of the text's
-    own would be one more than the lines hold."""
-    digit = chars - ord("0") < 10  # uint8: bytes below '0' wrap
+    """(digits, start, stop, before) of chars, a body from the header's
+    newline to the last one, if it is canonical, else None: each line is
+    `line_tag` (if not None) and `width` numbers, single spaces apart, each
+    an optional sign and 1.._MAX_DIGITS digits. `digits` is each byte less
+    `0`, as uint8; a run of ASCII digits is chars[start:stop], and `before`
+    is the byte before it. With each run written as one `#`, the sign before
+    it dropped and its other digits deleted, every line must read
+    `<line_tag> # #...`; a `#` of the text's own would be one more than the
+    lines hold."""
+    digits = chars - np.uint8(ord("0"))  # bytes below '0' wrap
+    digit = digits < 10
     # The body starts and ends with a newline, so the edges of the digit
     # mask pair up: a run starts at one and stops at the next.
     edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1
@@ -359,7 +368,8 @@ def _canonical_runs(chars, line_tag, width):
     form[start[(before == ord("+")) | (before == ord("-"))] - 1] = ord("0")  # deleted
     line = " ".join(([line_tag] if line_tag else []) + ["#"] * width)
     lines = f"\n{line}".encode() * (start.size // width) + b"\n"
-    return (start, stop) if form.tobytes().translate(None, b"0123456789") == lines else None
+    canonical = form.tobytes().translate(None, b"0123456789") == lines
+    return (digits, start, stop, before) if canonical else None
 
 
 def _line_rows(text, tag, magic, header, line_tag, width, malformed):

@@ -10,7 +10,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .certify import Mode, SignFunction, _check_k, _mode_sums, is_minimal_skdf, verify
+from .certify import (
+    Mode, SignFunction, _check_k, _minimality, _mode_sums, _sign_function, verify,
+)
 from .graph import (
     Graph, GraphFormatError, _RowError, _emit_rows, _line_fields, _number, _read_body,
 )
@@ -314,11 +316,11 @@ def lift_solution(source, art: ReductionArtifact) -> SignFunction:
             raise InvalidSourceError("assignment length != variable count")
         if (clause := formula._unsatisfied_clause(truth)) is not None:
             raise InvalidSourceError(f"clause {clause} is not 1-in-3 satisfied")
-        values = [1] * art.graph.n
+        values = np.ones(art.graph.n, dtype=np.int64)
         for j in range(formula.num_vars):
             # x''_j (local index 1) gets -1 when x_j is TRUE, x'_j (0) otherwise.
             values[art.vertex_of(("variable_block", j + 1, int(truth[j])))] = -1
-        return SignFunction(tuple(values))
+        return _sign_function(values)
 
     g = art.source_graph
     s = frozenset(source)
@@ -330,7 +332,7 @@ def lift_solution(source, art: ReductionArtifact) -> SignFunction:
         raise InvalidSourceError(f"source set is not a {'total ' if art.kind == MTDS else ''}dominating set")
     values = np.ones(art.graph.n, dtype=np.int64)
     values[:g.n] = 2 * inside - 1
-    return SignFunction(tuple(values.tolist()))
+    return _sign_function(values)
 
 
 def project_solution(f: SignFunction, art: ReductionArtifact):
@@ -344,9 +346,10 @@ def project_solution(f: SignFunction, art: ReductionArtifact):
     if len(f) != art.graph.n:
         raise InvalidSourceError("certificate length != gadget order")
     if art.kind == ONE_IN_THREE:
-        if not verify(art.graph, art.k, Mode.CLOSED, f).feasible:
+        report = verify(art.graph, art.k, Mode.CLOSED, f)
+        if not report.feasible:
             raise InvalidSourceError("certificate is not a feasible SkDF")
-        if not is_minimal_skdf(art.graph, art.k, f).minimal:
+        if not _minimality(art.graph, art.k, f, report).minimal:
             raise InvalidSourceError("certificate is not a minimal SkDF")
         if f.weight < art.threshold_value:
             raise InvalidSourceError("certificate weight below the SAT threshold")
@@ -362,7 +365,7 @@ def project_solution(f: SignFunction, art: ReductionArtifact):
     if not verify(art.graph, art.k, art.mode, f).feasible:
         raise InvalidSourceError("certificate is infeasible for the gadget")
     g = art.source_graph
-    inside = (np.array(f.values[:g.n], dtype=np.int64) == 1).astype(np.int64)
+    inside = (f.array[:g.n] == 1).astype(np.int64)
     s = frozenset(np.flatnonzero(inside).tolist())
     # Both facts are forced by feasibility: block vertices are all +1, and
     # the projected set covers the source graph.

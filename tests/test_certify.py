@@ -1,5 +1,7 @@
+import dataclasses
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,16 +10,20 @@ from sgdom import (
     Graph,
     Mode,
     SignFunction,
+    ThreeSatFormula,
     complete,
     cycle,
     emit_certificate,
     forced_plus_vertices,
     is_minimal_skdf,
+    lift_solution,
     parse_certificate,
     path,
+    reduce_1in3,
+    reduce_mtds,
     verify,
 )
-from sgdom.certify import _mode_rows
+from sgdom.certify import _minimality, _mode_rows
 from sgdom.graph import GraphFormatError
 
 from conftest import (
@@ -129,6 +135,55 @@ class TestSignFunction:
             f = SignFunction(tuple(rng.choice((-1, 1)) for _ in range(n)))
             assert f.weight % 2 == n % 2
 
+    def test_array_is_the_values_read_only(self):
+        f = SignFunction((1, -1, -1, 1))
+        assert f.array.dtype == np.int64
+        assert f.array.tolist() == list(f.values)
+        assert f.array is f.array  # built once
+        with pytest.raises(ValueError, match="read-only"):
+            f.array[0] = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.array = np.ones(4, dtype=np.int64)
+        assert f.values == (1, -1, -1, 1)
+        assert type(f.weight) is int and f.weight == 0
+
+    def test_array_is_not_a_field(self):
+        """Equality, hashing and repr read the values alone, whether or not
+        the array was built, and by whom."""
+        plain = SignFunction((1, -1, 1))
+        built = SignFunction((1, -1, 1))
+        built.array
+        (_, _, parsed) = parse_certificate("s sgd-cert 3 1 closed\nv 1 +1\nv 2 -1\nv 3 +1\n")
+        assert "array" not in vars(plain) and "array" in vars(built) and "array" in vars(parsed)
+        for f in (built, parsed):
+            assert f == plain and hash(f) == hash(plain)
+            assert repr(f) == repr(plain) == "SignFunction(values=(1, -1, 1))"
+        assert [field.name for field in dataclasses.fields(SignFunction)] == ["values"]
+
+    def test_readers_seed_the_array(self):
+        """parse_certificate and both kinds of lift_solution hand out their
+        int64 array as the cache, equal to the values and read-only."""
+        g = cycle(6)
+        formula = ThreeSatFormula(3, ((1, 2, 3),))
+        made = [
+            parse_certificate(emit_certificate(SignFunction((1, -1) * 3), 2, Mode.TOTAL))[2],
+            parse_certificate(b"s sgd-cert 3 1 closed\nc any order\nv 3 -01\nv 1 1\nv 2 +1\n")[2],
+            lift_solution({0, 1, 3, 4}, reduce_mtds(g, 2)),
+            lift_solution((True, False, False), reduce_1in3(formula, 1)),
+        ]
+        for f in made:
+            seeded = vars(f)["array"]
+            assert seeded.dtype == np.int64 and not seeded.flags.writeable
+            assert np.array_equal(seeded, np.array(f.values))
+            assert f == SignFunction(f.values)
+
+    def test_replace_drops_the_cache(self):
+        f = SignFunction((1, 1, -1))
+        f.array
+        g = dataclasses.replace(f, values=(-1, 1, 1))
+        assert "array" not in vars(g)
+        assert g.array.tolist() == [-1, 1, 1] and f.array.tolist() == [1, 1, -1]
+
     def test_sum_parity_matches_neighborhood_size(self, rng):
         g = random_graph(rng, 8, 0.4)
         for values in [tuple(rng.choice((-1, 1)) for _ in range(8)) for _ in range(20)]:
@@ -168,6 +223,22 @@ class TestMinimality:
     def test_requires_feasible_input(self):
         with pytest.raises(ValueError):
             is_minimal_skdf(path(3), 1, SignFunction((-1, -1, -1)))
+
+    def test_reads_the_sums_of_a_report(self, rng):
+        """The minimality rule reads the report's sums: those `verify` made,
+        or, for a report built without them, its per-vertex sums."""
+        for _ in range(20):
+            g = random_graph(rng, 7, 0.5)
+            for values in all_signs(7):
+                if feasible(g, 1, Mode.CLOSED, values):
+                    f = SignFunction(values)
+                    report = verify(g, 1, Mode.CLOSED, f)
+                    assert "_sums" in vars(report)
+                    rebuilt = dataclasses.replace(report)
+                    assert "_sums" not in vars(rebuilt) and rebuilt == report
+                    want = is_minimal_skdf(g, 1, f)
+                    assert _minimality(g, 1, f, report) == _minimality(g, 1, f, rebuilt) == want
+                    break
 
     def test_matches_definitional_minimality_small(self, rng):
         # single-flip criterion == subset-enumeration definition

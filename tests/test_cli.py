@@ -156,6 +156,32 @@ class TestVerify:
         assert code == 1
         assert "minimal = no" in capsys.readouterr().out
 
+    def test_minimal_verifies_once(self, tmp_path, c5_path, capsys, monkeypatch):
+        """`verify --minimal` checks the certificate once, and minimality
+        reads the sums of that check: one `verify` call whether f is
+        minimal, not minimal or infeasible."""
+        from sgdom import certify
+
+        original, calls = certify.verify, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(certify, "verify", counted)
+        monkeypatch.setattr(cli, "verify", counted)
+        cert = tmp_path / "c.cert"
+        for values, code, last in [
+            ((1, -1, 1, 1, 1), 0, "minimal = yes"),
+            ((1,) * 5, 1, "offending = 1"),
+            ((1, -1, -1, 1, 1), 1, "violations = 2 3"),
+        ]:
+            cert.write_text(emit_certificate(SignFunction(values), 1, Mode.CLOSED))
+            calls.clear()
+            assert main(["verify", "--cert", str(cert), "--minimal", c5_path]) == code
+            assert capsys.readouterr().out.splitlines()[-1] == last
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("sign", [1, -1], ids=["feasible", "infeasible"])
     @pytest.mark.parametrize("flag", [True, False], ids=["mode-flag", "mode-header"])
     def test_minimal_in_total_mode_is_usage_error(self, tmp_path, capsys, sign, flag):

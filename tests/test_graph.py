@@ -244,6 +244,23 @@ def test_graph_matches_reference_at_scale():
     assert checked > 200
 
 
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+def test_key_width_switch(n):
+    """Keys of two vertices are uint32 up to order 2^16 and int64 above it.
+    With edges at vertex n - 1, whose key has the top bit of a uint32 at
+    order 2^16, the rows equal the reference's (values and dtypes), and a
+    repeat of such an edge is named. numpy wraps a uint32 silently, so only
+    the rows show an overflow."""
+    top = n - 1
+    edges = [(top, 0), (1, top), (top - 1, top), (n // 2, top - 2), (0, 1)]
+    with mock.patch.object(graph_module, "_entry_keys", wraps=_entry_keys) as keys:
+        _assert_matches_reference(n, edges)
+    assert keys.call_args.args[2] == (np.uint32 if n <= 2**16 else np.int64)
+    _assert_matches_reference(n, edges + [(top, top - 1)])
+    _assert_matches_reference(n, edges + [(0, top)])
+    _assert_matches_reference(n, edges + [(top, n)])
+
+
 def test_order_limit_keeps_the_keys_in_int64():
     """Graph refuses an order above _MAX_ORDER before it allocates anything;
     at that order the entry keys of the largest vertices stay below 2^62 and
@@ -464,6 +481,41 @@ def test_long_emitted_text_reads_back_in_the_fast_lane():
     with mock.patch("sgdom.graph._line_rows", refuse):
         assert parse_graph(emit_graph(g)) == g
         assert parse_certificate(emit_certificate(f, 2, Mode.TOTAL)) == (2, Mode.TOTAL, f)
+
+
+# (header, _read_body's format arguments) of each format.
+_READERS = {
+    "graph": ("p sgd 5 2", ("p", "sgd", (int, int), "e", 2)),
+    "certificate": ("s sgd-cert 5 1 closed", ("s", "sgd-cert", (int, int, Mode), "v", 2)),
+    "cnf": ("p cnf 5 1", ("p", "cnf", (int, int), None, 4)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_READERS))
+def test_canonical_lane_holds_seven_digits(fmt):
+    """The canonical lane adds digits in int32: the widest numbers it takes,
+    +-9999999 and 0000007, read as the per-line lane reads them, and a
+    number of eight digits goes to the per-line lane."""
+    head, (tag, magic, header, line_tag, width) = _READERS[fmt]
+
+    def body(numbers):
+        fields = ([line_tag] if line_tag else []) + numbers
+        return f"{head}\n{' '.join(fields)}\n"
+
+    numbers = ["9999999", "-9999999", "0000007", "+9999999"]
+    for text in (body((numbers[r:] + numbers[:r])[:width]) for r in range(len(numbers))):
+        fast = graph_module._canonical_rows(text, tag, magic, header, line_tag, width)
+        slow = graph_module._line_rows(text, tag, magic, header, line_tag, width, None)
+        assert fast is not None
+        assert fast[0] == slow[0] and fast[3] is slow[3] is None
+        assert fast[1].dtype == slow[1].dtype == np.int64
+        assert fast[1].tolist() == slow[1].tolist()
+        assert list(fast[2]) == list(slow[2]) == [2]
+    for wide in ("12345678", "-99999999", "00000007"):
+        text = body([wide] + numbers[1:width])
+        assert graph_module._canonical_rows(text, tag, magic, header, line_tag, width) is None
+        rows = graph_module._line_rows(text, tag, magic, header, line_tag, width, None)[1]
+        assert rows[0, 0] == int(wide)
 
 
 def _percent_text(head, line, rows):
