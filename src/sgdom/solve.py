@@ -78,14 +78,15 @@ def _part_table(m: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.nd
     most significant bit, and bit 0 encodes -1.
     """
     width = stop - start
+    twice = 2 * m[:, start:stop]
     sums = np.empty((m.shape[0], 1 << width), dtype=np.int16)
     plus = np.zeros(1 << width, dtype=np.int8)
     sums[:, 0] = -m[:, start:stop].sum(axis=1)
     # Doubling: making vertex u the most significant bit keeps the table
     # for u = -1 and appends a copy with u = +1, which adds 2 m[:, u].
-    for u in range(stop - 1, start - 1, -1):
-        s = 1 << (stop - 1 - u)
-        np.add(sums[:, :s], 2 * m[:, u, None], out=sums[:, s : 2 * s])
+    for u in range(width - 1, -1, -1):
+        s = 1 << (width - 1 - u)
+        np.add(sums[:, :s], twice[:, u, None], out=sums[:, s : 2 * s])
         plus[s : 2 * s] = plus[:s] + 1
     return sums, plus
 
@@ -121,7 +122,18 @@ def _first_optimum(
     the high part in N_mode(v) at +1); a high pattern is then kept only if
     every row reaches k with the most that any kept low pattern adds. A
     dropped pattern breaks some row with every partner, and the kept ones
-    stay in (key, index) order, so the filters change no result.
+    stay in (key, index) order, so the filters change no result. After them
+    the high table is turned in place into each pattern's threshold k - sums
+    on the low sums, and the prefix length of every later high pattern is
+    one `searchsorted`, redone only when the incumbent improves.
+
+    Gamma's minimality test builds two arrays once per solve: the
+    closed-neighbourhood matrix as float32 and the -1 mask of every kept low
+    pattern; a high pattern's -1 mask comes from the bits of p. A feasible
+    candidate's sum at v is k or k+1 iff its low sum is at most the
+    threshold + 1, and it is minimal iff every +1 vertex has such a vertex in
+    its closed neighbourhood: one float32 product counts them, exactly, since
+    no count exceeds n <= 36.
     """
     n = g.n
     # Every sum lies in [-n, n], so k > n is exactly as infeasible as n + 1;
@@ -137,7 +149,7 @@ def _first_optimum(
         return None
     # key = weight for sigma and -weight for Gamma; the search minimises it.
     # It is sorted as int8, which makes the stable argsort a radix sort, and
-    # searched as int64, which a Python int bound meets without a cast.
+    # searched as int64, the type of the bounds taken from the high keys.
     sense = -1 if upper else 1
     lo_key = sense * (2 * lo_plus[order] - low)
     by_key = np.argsort(lo_key, kind="stable")
@@ -145,30 +157,38 @@ def _first_optimum(
     # take() keeps the table C-contiguous; a[:, order] would not.
     lo_sums = lo_sums.take(order, axis=1)
     (hi_kept,) = np.nonzero((hi_sums >= k - lo_sums.max(axis=1)[:, None]).all(axis=0))
-    hi_key = (sense * (2 * hi_plus - high)).tolist()
+    hi_key = (sense * (2 * hi_plus[hi_kept] - high)).astype(np.int64)
+    # From here on the high table holds each pattern's threshold on the low
+    # sums: q completes p iff lo_sums[:, q] >= need[:, p] on every row.
+    need = np.subtract(k, hi_sums, out=hi_sums)
+    if upper:
+        adj = m.astype(np.float32)
+        lo_minus = (order >> np.arange(low - 1, -1, -1)[:, None]) & 1 == 0
+        hi_shift = np.arange(high - 1, -1, -1)
     best_key: int | None = None
     best_index: int | None = None
-    for p in hi_kept.tolist():
-        cols = len(order)
-        if best_key is not None:
-            cols = int(np.searchsorted(lo_key, best_key - hi_key[p]))
+    # Columns of the low table that strictly beat the incumbent with each
+    # kept high pattern; they change only when the incumbent does.
+    limits = np.full(len(hi_kept), len(order))
+    for i, p in enumerate(hi_kept.tolist()):
+        cols = limits[i]
         if cols == 0:
             continue
-        hi = hi_sums[:, p, None]
-        ok = (lo_sums[:, :cols] >= k - hi).all(axis=0)
-        if upper:
-            # Minimal iff every +1 vertex has a closed neighbour whose sum
-            # is k or k+1; the signs are the bits of the index.
-            (cand,) = np.nonzero(ok)
-            sums = lo_sums[:, cand] + hi
-            tight = (sums == k) | (sums == k + 1)
-            bits = ((p << low | order[cand]) >> np.arange(n - 1, -1, -1)[:, None]) & 1
-            ok[cand] = (((m > 0) @ tight) | (bits == 0)).all(axis=0)
-        if not ok.any():
+        (cand,) = (lo_sums[:, :cols] >= need[:, p, None]).all(axis=0).nonzero()
+        if upper and len(cand):
+            # A candidate is feasible, so its sum at v is k or k+1 iff its
+            # low sum is at most need + 1.
+            tight = lo_sums[:, cand] <= need[:, p, None] + 1
+            covered = adj.dot(tight.astype(np.float32)) > 0
+            covered[:high] |= (p >> hi_shift)[:, None] & 1 == 0
+            covered[high:] |= lo_minus[:, cand]
+            cand = cand[covered.all(axis=0)]
+        if len(cand) == 0:
             continue
-        q = int(ok.argmax())
-        best_key = int(lo_key[q] + hi_key[p])
+        q = int(cand[0])
+        best_key = int(lo_key[q] + hi_key[i])
         best_index = (p << low) | int(order[q])
+        limits[i + 1 :] = np.searchsorted(lo_key, best_key - hi_key[i + 1 :])
     return sense * best_key, best_index
 
 

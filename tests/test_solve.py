@@ -22,6 +22,7 @@ from sgdom import (
     gamma_t,
     one_in_three_sat,
     path,
+    reduce_1in3,
     reduce_mds,
     reduce_mtds,
     verify,
@@ -40,6 +41,7 @@ from conftest import (
     first_optimum,
     mode_rows,
     nbhd,
+    nbhd_sums,
     random_connected_graph,
     random_graph,
 )
@@ -237,6 +239,46 @@ class TestSplitEnumeration:
         assert brute_force_upper(g, 3).status == INFEASIBLE
         assert_first_optimum(brute_force_sigma(g, 3, Mode.CLOSED), g, 3, Mode.CLOSED)
 
+    def test_upper_high_vertex_covered_only_by_low_vertices(self):
+        # Vertices 1 and 2 are high and 8 is low at every width here. The
+        # first Gamma optimum is +1 at vertex 1, and 8 is the only vertex of
+        # N[1] whose sum is k or k+1, so a high row's cover comes from the
+        # low part of the product alone. It is -1 at vertex 2, and no vertex
+        # of N[2] has such a sum: a -1 vertex needs no cover.
+        g = DrawnGraph(9, [
+            (0, 3), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6), (1, 8),
+            (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
+            (5, 8),
+        ])
+        assert 3 <= g.n - solve._LOW_BITS <= 7
+        result = brute_force_upper(g, 1)
+        assert_first_optimum(result, g, 1, Mode.CLOSED, upper=True)
+        f = result.certificate.values
+        sums = nbhd_sums(g, Mode.CLOSED, f)
+        tight = [[u for u in nbhd(g, v, Mode.CLOSED) if sums[u] in (1, 2)] for v in (1, 2)]
+        assert (f[1], f[2]) == (1, -1)
+        assert tight == [[8], []]
+
+    def test_upper_drops_a_candidate_only_for_a_high_vertex(self):
+        # The candidate is feasible and beats Gamma = 5, so the sweep tests
+        # it; vertex 2, high at every width here, is its only +1 vertex with
+        # no vertex of sum k or k+1 in its closed neighbourhood.
+        g = DrawnGraph(9, [
+            (0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 6), (1, 7), (2, 7), (4, 7), (6, 8),
+        ])
+        assert g.n - solve._LOW_BITS >= 3
+        candidate = (1, -1, 1, 1, 1, 1, 1, 1, 1)
+        sums = nbhd_sums(g, Mode.CLOSED, candidate)
+        assert min(sums) >= 1
+        uncovered = [
+            v for v in range(g.n)
+            if candidate[v] == 1 and all(sums[u] not in (1, 2) for u in nbhd(g, v, Mode.CLOSED))
+        ]
+        assert uncovered == [2]
+        result = brute_force_upper(g, 1)
+        assert result.value == 5 < sum(candidate)
+        assert_first_optimum(result, g, 1, Mode.CLOSED, upper=True)
+
     @pytest.mark.parametrize(
         "upper,optimum",
         [(False, (-5, 0)), (False, (2, 15)), (True, (5, 31))],
@@ -251,6 +293,34 @@ class TestSplitEnumeration:
                 brute_force_upper(cycle(5), 1)
             else:
                 brute_force_sigma(cycle(5), 1, Mode.CLOSED)
+
+
+@pytest.mark.parametrize(
+    "n,p,k,mode,value,signs",
+    [
+        (20, 0.3, 1, None, 14, "--++++-+++++++++++++"),
+        (22, 0.25, 1, None, 14, "+-+++++-++++++++--++++"),
+        (22, 0.25, 1, Mode.CLOSED, 6, "-+--+-+-+-++-++++++++-"),
+        (22, 0.25, 2, Mode.TOTAL, 10, "+++-+--+++++-++-++++-+"),
+        (None, None, 1, None, 14, "++++++-+++-++++-++-+++"),
+    ],
+    ids=["upper-gnp20", "upper-gnp22", "sigma-closed-1-gnp22", "sigma-total-2-gnp22",
+         "upper-1in3-22"],
+)
+def test_pinned_brute_force_at_the_benchmark_orders(n, p, k, mode, value, signs):
+    """Brute force at the orders of the benchmark (20-22 vertices, so 64-256
+    high blocks at the default split): values and certificates pinned from
+    the enumerator before its sweep was reworked. mode None is Gamma, on
+    G(n, p) drawn from seed 1 or, with n None, on the 22-vertex 1-in-3
+    gadget of a satisfiable formula."""
+    if n is None:
+        g = reduce_1in3(ThreeSatFormula(4, ((1, 2, 3), (2, 3, 4))), 1).graph
+    else:
+        g = random_graph(random.Random(1), n, p)
+    result = brute_force_upper(g, k) if mode is None else brute_force_sigma(g, k, mode)
+    assert result.status == OPTIMAL and result.value == value
+    assert result.certificate.values == tuple(1 if c == "+" else -1 for c in signs)
+    assert result.nodes_explored == 2**g.n
 
 
 # C12 and the graphs of TestBranchAndBound.test_pinned_certificates.
